@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "compile/Compile.h"
 #include "engine/ExecutionEngine.h"
 
 #include "targets/Differential.h"
@@ -15,6 +16,9 @@
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace jsmm;
 using namespace jsmm::testutil;
@@ -289,4 +293,149 @@ TEST(Engine, StatsAreIdenticalAcrossThreadCounts) {
   Sleeper.enumerateOutcomes(WideSb(), JsModel(ModelSpec::revised()));
   EXPECT_GT(Pruner.Stats.PrunedSubtrees, 0u);
   EXPECT_GT(Sleeper.Stats.SleptBranches, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Pinned effort counters
+//===----------------------------------------------------------------------===//
+//
+// tests/fixtures/engine_counters.tsv holds CandidatesConsidered,
+// ValidCandidates and every EngineStats field for the paper figures, the
+// ≤64-event example litmus files and the differential corpus: JavaScript
+// under all four specs and every target backend through enumerateOutcomes
+// at Threads 1/4 × Reduction × StaticFastPath × Prune, and mixed-size ARMv8
+// through enumerate at Threads 1/4. The cross-thread equality tests above
+// are relative; this table pins the absolute numbers, so moving a prune,
+// a sleep rule or the work-item split shows up as a diff. On a mismatch
+// the test writes the table it computed to engine_counters.actual.tsv in
+// its working directory.
+
+namespace {
+
+struct CounterProgram {
+  std::string Label;
+  Program P{0};
+};
+
+std::vector<CounterProgram> counterPrograms() {
+  std::vector<CounterProgram> Out;
+  Out.push_back({"fig1", fig1Program()});
+  Out.push_back({"fig6", fig6Program()});
+  Out.push_back({"fig8", fig8Program()});
+  for (const char *Name : {"fig6_shape", "mp_sc_flag", "sb_sc"}) {
+    std::ifstream In(std::string(JSMM_SOURCE_DIR) + "/examples/litmus/" +
+                     Name + ".litmus");
+    std::stringstream Text;
+    Text << In.rdbuf();
+    std::optional<LitmusFile> File = parseLitmus(Text.str());
+    EXPECT_TRUE(File) << Name;
+    if (File)
+      Out.push_back({std::string("litmus:") + Name, File->P});
+  }
+  for (const DiffCase &C : differentialCorpus()) {
+    Program P = mixedFromUni(C.Uni);
+    if (!C.Litmus.empty())
+      P = parseLitmus(C.Litmus)->P;
+    Out.push_back({"corpus:" + C.Name, P});
+  }
+  return Out;
+}
+
+std::string counterRow(const std::string &Prog, const std::string &Model,
+                       const std::string &Knobs, uint64_t Considered,
+                       uint64_t Valid, const EngineStats &S) {
+  std::string Row = Prog + "\t" + Model + "\t" + Knobs;
+  for (uint64_t V : {Considered, Valid, S.WorkItems, S.PrunedSubtrees,
+                     S.SleptBranches, S.StaticRfPruned, S.StaticPathsPruned})
+    Row += "\t" + std::to_string(V);
+  return Row;
+}
+
+std::vector<EngineConfig> counterConfigs() {
+  std::vector<EngineConfig> Out;
+  for (unsigned Threads : {1u, 4u})
+    for (bool Reduction : {false, true})
+      for (bool Static : {false, true})
+        for (bool Prune : {false, true}) {
+          EngineConfig Cfg{Threads, Prune};
+          Cfg.Reduction = Reduction;
+          Cfg.StaticFastPath = Static;
+          Out.push_back(Cfg);
+        }
+  return Out;
+}
+
+std::string knobs(const EngineConfig &Cfg) {
+  return "t" + std::to_string(Cfg.Threads) + " red" +
+         std::to_string(Cfg.Reduction) + " sfp" +
+         std::to_string(Cfg.StaticFastPath) + " prune" +
+         std::to_string(Cfg.Prune);
+}
+
+std::vector<std::string> computeCounterTable() {
+  std::vector<std::string> Rows = {
+      "program\tmodel\tknobs\tCandidatesConsidered\tValidCandidates\t"
+      "WorkItems\tPrunedSubtrees\tSleptBranches\tStaticRfPruned\t"
+      "StaticPathsPruned"};
+  std::vector<CounterProgram> Programs = counterPrograms();
+  for (const CounterProgram &CP : Programs)
+    for (ModelSpec Spec : allSpecs())
+      for (const EngineConfig &Cfg : counterConfigs()) {
+        ExecutionEngine Engine(Cfg);
+        OutcomeSummary S = Engine.enumerateOutcomes(CP.P, JsModel(Spec));
+        Rows.push_back(counterRow(CP.Label, Spec.Name, knobs(Cfg),
+                                  S.CandidatesConsidered, S.ValidCandidates,
+                                  Engine.Stats));
+      }
+  for (const DiffCase &C : differentialCorpus())
+    for (const TargetModel &M : TargetModel::all()) {
+      CompiledTarget CT = compileUni(C.Uni, M.arch());
+      for (const EngineConfig &Cfg : counterConfigs()) {
+        ExecutionEngine Engine(Cfg);
+        OutcomeSummary S = Engine.enumerateOutcomes(CT, M);
+        Rows.push_back(counterRow("corpus:" + C.Name, M.name(), knobs(Cfg),
+                                  S.CandidatesConsidered, S.ValidCandidates,
+                                  Engine.Stats));
+      }
+    }
+  for (const CounterProgram &CP : Programs) {
+    bool ZeroInit = true;
+    for (unsigned B = 0; B < CP.P.bufferSizes().size(); ++B)
+      ZeroInit = ZeroInit && CP.P.initBytes(B).empty();
+    if (!ZeroInit)
+      continue; // the armv8 lowering assumes zero-initialised buffers
+    ArmProgram Arm = compileToArm(CP.P).Arm;
+    if (ExecutionEngine::capacityError(Arm))
+      continue;
+    for (unsigned Threads : {1u, 4u}) {
+      ExecutionEngine Engine(EngineConfig{Threads, true});
+      ArmEnumerationResult R = Engine.enumerate(Arm, Armv8Model());
+      Rows.push_back(counterRow(CP.Label, "armv8",
+                                "t" + std::to_string(Threads),
+                                R.CandidatesConsidered,
+                                R.ConsistentCandidates, Engine.Stats));
+    }
+  }
+  return Rows;
+}
+
+} // namespace
+
+TEST(Engine, CountersMatchPinnedFixture) {
+  std::vector<std::string> Actual = computeCounterTable();
+  std::ifstream In(std::string(JSMM_SOURCE_DIR) +
+                   "/tests/fixtures/engine_counters.tsv");
+  ASSERT_TRUE(In) << "missing tests/fixtures/engine_counters.tsv";
+  std::vector<std::string> Expected;
+  for (std::string Line; std::getline(In, Line);)
+    Expected.push_back(Line);
+  if (Actual == Expected)
+    return;
+  std::ofstream Out("engine_counters.actual.tsv");
+  for (const std::string &Row : Actual)
+    Out << Row << "\n";
+  ASSERT_EQ(Actual.size(), Expected.size())
+      << "row count differs; see engine_counters.actual.tsv";
+  for (size_t I = 0; I < Actual.size(); ++I)
+    EXPECT_EQ(Actual[I], Expected[I]) << "row " << I;
 }
