@@ -2,6 +2,8 @@
 
 #include "obs/Metrics.h"
 
+#include <algorithm>
+
 using namespace jsmm;
 using namespace jsmm::obs;
 
@@ -46,13 +48,16 @@ uint64_t LatencyHistogram::percentileMicros(double P) const {
     Rank = 1;
   if (Rank > N)
     Rank = N;
+  // The bucket's upper bound, clamped to the largest sample seen: the
+  // bound alone overstates the top bucket (one 237 us job used to report
+  // p50 256 us against max 237 us).
   uint64_t Cumulative = 0;
   for (unsigned B = 0; B < NumBuckets; ++B) {
     Cumulative += Buckets[B].load(std::memory_order_relaxed);
     if (Cumulative >= Rank)
-      return bucketUpperBoundMicros(B);
+      return std::min(bucketUpperBoundMicros(B), maxMicros());
   }
-  return bucketUpperBoundMicros(NumBuckets - 1);
+  return maxMicros();
 }
 
 JsonValue LatencyHistogram::toJson() const {

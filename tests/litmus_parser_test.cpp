@@ -131,6 +131,30 @@ TEST(LitmusParser, ErrorsAreReportedWithLines) {
   EXPECT_NE(Error.find("no threads"), std::string::npos);
 }
 
+TEST(LitmusParser, UnterminatedIfIsRejectedAtItsOwnLine) {
+  // Closed by the next thread: the diagnostic names the `if` (line 3),
+  // not the `thread` line that ended it.
+  std::string Error;
+  EXPECT_FALSE(parseLitmus("thread\n  r0 = load u32 0\n  if r0 == 1\n"
+                           "    store u32 4 = 1\nthread\n"
+                           "  store u32 0 = 1\n",
+                           &Error)
+                   .has_value());
+  EXPECT_NE(Error.find("line 3: 'if' without a matching 'end'"),
+            std::string::npos)
+      << Error;
+  // Still open at EOF, inside a closed nested `if`: the innermost open
+  // `if` is the outer one (line 3).
+  EXPECT_FALSE(parseLitmus("thread\n  r0 = load u32 0\n  if r0 == 1\n"
+                           "    if r0 != 2\n      store u32 4 = 1\n"
+                           "    end\n    store u32 8 = 1\n",
+                           &Error)
+                   .has_value());
+  EXPECT_NE(Error.find("line 3: 'if' without a matching 'end'"),
+            std::string::npos)
+      << Error;
+}
+
 TEST(LitmusParser, RegisterOrderIsEnforced) {
   std::string Error;
   const char *Src = R"(

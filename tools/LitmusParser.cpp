@@ -265,6 +265,14 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
       *Error = "line " + std::to_string(LineNo) + ": " + Why;
     return std::nullopt;
   };
+  // An `if` still open when its thread ends (at the next `thread` line or
+  // at EOF) is an error, reported at the innermost open `if`'s own line.
+  // Its body is on top of Open, and the `if` itself is the last statement
+  // of the list below it.
+  auto UnterminatedIf = [&] {
+    return Fail(Open[Open.size() - 2]->back().Line,
+                "'if' without a matching 'end'");
+  };
 
   std::istringstream In(Source);
   std::string Line;
@@ -348,6 +356,8 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
                                   " out of order (expected " +
                                   std::to_string(S.Threads.size()) + ")");
       }
+      if (Open.size() > 1)
+        return UnterminatedIf();
       S.Threads.emplace_back();
       S.ThreadLines.push_back(LineNo);
       Open.clear();
@@ -463,6 +473,8 @@ std::optional<LitmusFile> jsmm::parseLitmus(const std::string &Source,
     return Fail(LineNo, "unknown statement '" + T[0] + "'");
   }
 
+  if (Open.size() > 1)
+    return UnterminatedIf();
   if (S.Threads.empty())
     return Fail(LineNo, "no threads declared");
   if (S.BufferSizes.empty()) {

@@ -8,7 +8,8 @@ Runs `jsmm-batch --corpus --stats=json --trace=...` and checks:
   1. every trace line parses as a JSON object with an "ev" member and a
      numeric "t_us" timestamp;
   2. the stream ends with a run-summary record carrying the cache hit
-     rate, per-job latency percentiles (p50/p90/p99) and solver counters;
+     rate, per-job latency percentiles (p50 <= p90 <= p99 <= max) and
+     solver counters;
   3. the deterministic "counters" section is byte-identical across
      --workers=1/2/4 (the per-job JSONL lines must match byte-for-byte
      too).
@@ -92,9 +93,13 @@ def check_summary(summary):
     if not isinstance(latency, dict) or "service.job_wall_us" not in latency:
         fail("run-summary without latency['service.job_wall_us']")
     wall = latency["service.job_wall_us"]
-    for key in ("p50_us", "p90_us", "p99_us"):
+    for key in ("p50_us", "p90_us", "p99_us", "max_us"):
         if key not in wall:
             fail("job wall latency without %s" % key)
+    quantiles = [wall[k] for k in ("p50_us", "p90_us", "p99_us", "max_us")]
+    if quantiles != sorted(quantiles):
+        fail("job wall quantiles not ordered p50 <= p90 <= p99 <= max: %r"
+             % (wall,))
     counters = summary.get("counters")
     if not isinstance(counters, dict) or "solver.queries" not in counters:
         fail("run-summary counters without solver.queries")
