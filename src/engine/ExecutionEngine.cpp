@@ -18,6 +18,8 @@
 #include <atomic>
 #include <cassert>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 using namespace jsmm;
 
@@ -46,6 +48,19 @@ std::vector<std::string> OutcomeSummary::outcomeStrings() const {
 
 namespace {
 
+/// Emits the trace event \p Ev with members \p Fields on \p T. Callers
+/// check obs::trace() first, so nothing is built while tracing is off.
+void traceEvent(obs::TraceSink &T, const char *Ev,
+                std::initializer_list<std::pair<const char *, JsonValue>>
+                    Fields) {
+  JsonValue F = JsonValue::object();
+  for (const auto &[Key, Value] : Fields)
+    F.set(Key, Value);
+  T.event(Ev, std::move(F));
+}
+
+JsonValue num(uint64_t N) { return JsonValue(static_cast<double>(N)); }
+
 std::optional<std::string> capacityErrorFor(unsigned Bound, unsigned Cap) {
   if (Bound <= Cap)
     return std::nullopt;
@@ -66,11 +81,8 @@ unsigned targetEventBound(const CompiledTarget &CT) {
 /// relation-level one.
 template <typename ProgramT> void checkCapacity(const ProgramT &P) {
   if (std::optional<std::string> Error = ExecutionEngine::capacityError(P)) {
-    if (obs::TraceSink *T = obs::trace()) {
-      JsonValue F = JsonValue::object();
-      F.set("error", JsonValue(*Error));
-      T->event("capacity-reject", std::move(F));
-    }
+    if (obs::TraceSink *T = obs::trace())
+      traceEvent(*T, "capacity-reject", {{"error", *Error}});
     if (obs::metricsEnabled())
       obs::registry().counter("engine.capacity_rejects").add(1);
     throw CapacityError(*Error);
@@ -113,15 +125,6 @@ ExecutionEngine::fixedCapacityError(const CompiledTarget &CT) {
 
 namespace {
 
-/// One unit of sharded work: a control-flow combination, optionally
-/// restricted to the K-th eligible writer for the first byte of the first
-/// read (so a single combination with a large justification tree still
-/// splits across workers).
-struct WorkItem {
-  size_t Combo = 0;
-  int Writer = -1; ///< -1: all writers
-};
-
 /// Runs \p Body over \p NumItems items on \p Threads workers (inline when
 /// sequential). Items are claimed from an atomic counter; \p Body must
 /// only touch state owned by its item index.
@@ -153,34 +156,24 @@ void runSharded(size_t NumItems, unsigned Threads,
 }
 
 //===----------------------------------------------------------------------===//
-// JavaScript candidate space
+// The candidate space, shared by every event language
 //===----------------------------------------------------------------------===//
 
 /// The per-thread control-flow paths of a program, with mixed-radix
 /// indexing of their combinations (last thread fastest, matching the
-/// seed's recursion order).
-struct JsSpace {
-  std::vector<std::vector<ThreadPath>> PerThread;
+/// seed's recursion order). Straight-line target programs have one path
+/// per thread — its body — and so exactly one combination.
+template <typename PathT> struct PathSpace {
+  std::vector<std::vector<PathT>> PerThread;
   size_t Combos = 1;
 
-  explicit JsSpace(const Program &P) {
-    for (unsigned T = 0; T < P.numThreads(); ++T)
-      PerThread.push_back(enumeratePaths(P.threadBody(T)));
-    for (const std::vector<ThreadPath> &Paths : PerThread)
-      Combos *= Paths.size();
+  explicit PathSpace(std::vector<std::vector<PathT>> Paths)
+      : PerThread(std::move(Paths)) {
+    for (const std::vector<PathT> &Ps : PerThread)
+      Combos *= Ps.size();
   }
 
-  std::vector<const ThreadPath *> chosen(size_t Idx) const {
-    std::vector<const ThreadPath *> C(PerThread.size());
-    for (size_t T = PerThread.size(); T-- > 0;) {
-      C[T] = &PerThread[T][Idx % PerThread[T].size()];
-      Idx /= PerThread[T].size();
-    }
-    return C;
-  }
-
-  /// Decomposes \p Idx into per-thread path indices (same mixed radix as
-  /// chosen()).
+  /// Decomposes \p Idx into per-thread path indices.
   std::vector<size_t> indices(size_t Idx) const {
     std::vector<size_t> C(PerThread.size());
     for (size_t T = PerThread.size(); T-- > 0;) {
@@ -189,303 +182,278 @@ struct JsSpace {
     }
     return C;
   }
+
+  std::vector<const PathT *> chosen(const std::vector<size_t> &Idx) const {
+    std::vector<const PathT *> C(PerThread.size());
+    for (size_t T = 0; T < PerThread.size(); ++T)
+      C[T] = &PerThread[T][Idx[T]];
+    return C;
+  }
 };
 
-//===----------------------------------------------------------------------===//
-// Equivalence-aware enumeration (EngineConfig::Reduction)
-//===----------------------------------------------------------------------===//
-
-/// Program-level reduction context for one JS enumeration: the symmetry
-/// classes plus the model spec (the rf sleep-set keys must mirror the
-/// spec's sw definition and tear rule exactly).
-struct JsReductionCtx {
-  ThreadSymmetry Sym;
-  ModelSpec Spec;
+/// The materialised skeleton of one path combination: events and the
+/// thread-local relations, reads not yet justified.
+template <typename ExecT, typename PathT> struct Skeleton {
+  ExecT X;
+  std::map<EventId, unsigned> RegOfEvent; ///< read event -> dst register
+  std::vector<const PathT *> Paths;        ///< chosen path per thread
+  std::vector<EventId> Reads;              ///< read events, in event order
 };
 
-/// \returns true if \p C is the canonical representative of its orbit
-/// under the symmetry classes: within each class, path indices must be
-/// non-decreasing by thread index. Skipped combinations are thread
-/// permutations of a canonical one; the orbit closure of the outcome set
-/// restores their outcomes.
-bool canonicalCombo(const JsSpace &Space, const ThreadSymmetry &Sym,
-                    size_t C) {
-  if (Sym.empty())
-    return true;
-  std::vector<size_t> Idx = Space.indices(C);
-  for (const std::vector<unsigned> &Cls : Sym.Classes)
-    for (size_t K = 1; K < Cls.size(); ++K)
-      if (Idx[Cls[K - 1]] > Idx[Cls[K]])
-        return false;
-  return true;
-}
-
-//===----------------------------------------------------------------------===//
-// Value-aware static pruning (EngineConfig::StaticFastPath)
-//===----------------------------------------------------------------------===//
-
-/// [read idx][byte offset][eligible-writer position] -> allowed flag. The
-/// writer positions index the same eligible-writer order the justifier
-/// walks (and the sleep-set Explore masks use).
-using StaticAllowMask = std::vector<std::vector<std::vector<uint8_t>>>;
-
-/// Per thread, per path index: 1 iff StaticValues::pathFeasible. Dropping
-/// an infeasible combination is sound: every candidate on it dies at the
-/// contradicted read's constraintsAllow check before being emitted, so
-/// its valid-outcome contribution is empty — and under reduction, orbit
-/// siblings of an infeasible canonical combination choose the same path
-/// multiset, so they are infeasible too and the orbit closure of the
-/// empty set stays empty.
-std::vector<std::vector<uint8_t>>
-feasiblePaths(const JsSpace &Space, const analysis::StaticValues &SV) {
-  std::vector<std::vector<uint8_t>> F(Space.PerThread.size());
-  for (size_t T = 0; T < Space.PerThread.size(); ++T) {
-    F[T].reserve(Space.PerThread[T].size());
-    for (const ThreadPath &Path : Space.PerThread[T])
-      F[T].push_back(SV.pathFeasible(Path) ? 1 : 0);
+/// Finishes a skeleton whose events were laid out thread by thread in
+/// program order: orders each thread's events in \p Order (sb / po) and
+/// lists the reads.
+template <typename BaseT, typename RelT>
+void finishSkeleton(BaseT &B, RelT &Order) {
+  const auto &Events = B.X.Events;
+  for (size_t I = 0; I < Events.size(); ++I) {
+    if (Events[I].isRead())
+      B.Reads.push_back(Events[I].Id);
+    for (size_t J = I + 1; Events[I].Thread >= 0 && J < Events.size() &&
+                           Events[J].Thread == Events[I].Thread;
+         ++J)
+      Order.set(Events[I].Id, Events[J].Id);
   }
-  return F;
 }
 
-bool comboFeasible(const JsSpace &Space,
-                   const std::vector<std::vector<uint8_t>> &Feasible,
-                   size_t C) {
-  std::vector<size_t> Idx = Space.indices(C);
-  for (size_t T = 0; T < Idx.size(); ++T)
-    if (!Feasible[T][Idx[T]])
-      return false;
-  return true;
-}
+/// [read idx][byte offset][eligible-writer position] -> flag. The writer
+/// positions index the order the walker explores writers in (work items
+/// index into the same list). Targets use a width-1 byte axis.
+using ByteMask = std::vector<std::vector<std::vector<uint8_t>>>;
 
-/// The materialised skeleton of one path combination: events, sb, and the
-/// bookkeeping the justifier needs. Generic over the relation tier.
-template <typename RelT> struct JsBase {
-  BasicCandidateExecution<RelT> CE;
-  std::vector<EventId> Reads;
-  std::map<EventId, unsigned> RegOfEvent;
-  std::vector<const ThreadPath *> Paths;
-  /// Per-thread path indices of this combination (filled by the walkers
-  /// when reduction is active; twin sleeps need to know that two threads
-  /// of an exact class chose the same path).
-  std::vector<size_t> PathIdx;
+/// What a language's read-completion check decided.
+enum class ReadVerdict {
+  Live,    ///< justify the next read
+  Refuted, ///< the path's register constraints reject the value read
+  Pruned,  ///< the model's monotone admission check cut the subtree
 };
 
-template <typename RelT>
-JsBase<RelT> buildJsBase(const Program &P,
-                         std::vector<const ThreadPath *> Chosen) {
-  JsBase<RelT> B;
-  B.Paths = std::move(Chosen);
-
-  std::vector<Event> Events;
-  // One Init event per buffer, carrying any declared initial bytes.
-  for (unsigned Buf = 0; Buf < P.bufferSizes().size(); ++Buf) {
-    EventId Id = static_cast<EventId>(Events.size());
-    if (P.initBytes(Buf).empty())
-      Events.push_back(makeInit(Id, P.bufferSizes()[Buf], Buf));
-    else
-      Events.push_back(makeInit(Id, P.initBytes(Buf), Buf));
-  }
-  // Thread events, in path order.
-  std::vector<std::vector<EventId>> ThreadEvents(P.numThreads());
-  for (unsigned T = 0; T < B.Paths.size(); ++T) {
-    for (const Instr *I : B.Paths[T]->Accesses) {
-      EventId Id = static_cast<EventId>(Events.size());
-      const Acc &A = I->Access;
-      Event E;
-      switch (I->K) {
-      case Instr::Kind::Load:
-        E = makeRead(Id, static_cast<int>(T), A.Ord, A.Offset, A.Width,
-                     /*Value=*/0, A.TearFree, A.Block);
-        B.RegOfEvent[Id] = I->Dst;
-        break;
-      case Instr::Kind::Store:
-        E = makeWrite(Id, static_cast<int>(T), A.Ord, A.Offset, A.Width,
-                      I->Value, A.TearFree, A.Block);
-        break;
-      case Instr::Kind::Rmw:
-        E = makeRMW(Id, static_cast<int>(T), A.Offset, A.Width,
-                    /*ReadValue=*/0, I->Value, A.Block);
-        B.RegOfEvent[Id] = I->Dst;
-        break;
-      default:
-        assert(false && "conditionals never materialise as events");
-      }
-      Events.push_back(E);
-      ThreadEvents[T].push_back(Id);
-    }
-  }
-  B.CE = BasicCandidateExecution<RelT>(std::move(Events));
-  for (const std::vector<EventId> &Seq : ThreadEvents)
-    for (size_t I = 0; I < Seq.size(); ++I)
-      for (size_t J = I + 1; J < Seq.size(); ++J)
-        B.CE.Sb.set(Seq[I], Seq[J]);
-  for (const Event &E : B.CE.Events)
-    if (E.isRead())
-      B.Reads.push_back(E.Id);
-  return B;
-}
-
-/// \returns the writers eligible to justify byte \p Loc of read \p R, in
-/// event order (the order the justifier explores them in — work items
-/// index into this list).
-template <typename RelT>
-unsigned countJsWriters(const BasicCandidateExecution<RelT> &CE, EventId R,
-                        unsigned Loc) {
-  unsigned Count = 0;
-  for (const Event &W : CE.Events)
-    if (W.Id != R && W.Block == CE.Events[R].Block && W.writesByte(Loc))
-      ++Count;
-  return Count;
-}
-
-/// Builds the static writer-allow mask of one JS base from the value
-/// analysis: a writer is masked off when it falls outside the read's
-/// may-rf candidate set, or when its written byte contradicts one of the
-/// path's MustEqual constraints on the read's register (any such
-/// justification is cut by constraintsAllow the moment the read
-/// completes, so skipping it up front loses nothing — not even a counted
-/// candidate). Event-to-access mapping replays buildJsBase's event order:
-/// one Init per buffer, then each thread's path accesses in sequence.
-template <typename RelT>
-StaticAllowMask buildJsStaticAllow(const analysis::StaticValues &SV,
-                                   const JsBase<RelT> &B) {
-  std::vector<int> AccOf(B.CE.Events.size(), -1);
-  size_t Pos = 0;
-  while (Pos < B.CE.Events.size() && B.CE.Events[Pos].Ord == Mode::Init)
-    ++Pos;
-  for (unsigned T = 0; T < B.Paths.size(); ++T)
-    for (const Instr *I : B.Paths[T]->Accesses)
-      AccOf[Pos++] = static_cast<int>(SV.AccessOfInstr.at(I));
-  assert(Pos == B.CE.Events.size() && "event/access replay out of sync");
-
-  StaticAllowMask Allow(B.Reads.size());
-  for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
-    const Event &R = B.CE.Events[B.Reads[RI]];
-    const analysis::ReadMayRf *MR =
-        SV.readMayRf(static_cast<unsigned>(AccOf[R.Id]));
-    assert(MR && "read event mapped to a non-read access");
-
-    // Per-byte required values from the path's MustEqual constraints on
-    // the read's register; Impossible when the constraints conflict or a
-    // required value does not fit the read's width.
-    unsigned Width = R.readEnd() - R.readBegin();
-    unsigned Reg = B.RegOfEvent.at(R.Id);
-    std::vector<int> Req(Width, -1);
-    bool Impossible = false;
-    for (const RegConstraint &Ct : B.Paths[R.Thread]->Constraints) {
-      if (!Ct.MustEqual || Ct.Reg != Reg)
-        continue;
-      if (Width < 8 && (Ct.Value >> (8 * Width)) != 0) {
-        Impossible = true;
-        break;
-      }
-      for (unsigned K = 0; K < Width; ++K) {
-        int Byte = static_cast<uint8_t>(Ct.Value >> (8 * K));
-        if (Req[K] >= 0 && Req[K] != Byte) {
-          Impossible = true;
-          break;
-        }
-        Req[K] = Byte;
-      }
-      if (Impossible)
-        break;
-    }
-
-    Allow[RI].resize(Width);
-    for (unsigned Loc = R.readBegin(); Loc < R.readEnd(); ++Loc) {
-      unsigned K = Loc - R.readBegin();
-      const analysis::MayRfByte &MB = MR->Bytes[K];
-      std::vector<uint8_t> &Mask = Allow[RI][K];
-      for (const Event &W : B.CE.Events) {
-        if (W.Id == R.Id || W.Block != R.Block || !W.writesByte(Loc))
-          continue;
-        bool Ok = !Impossible;
-        if (Ok) {
-          if (W.Ord == Mode::Init)
-            Ok = MB.Init;
-          else
-            Ok = std::binary_search(MB.Writers.begin(), MB.Writers.end(),
-                                    static_cast<unsigned>(AccOf[W.Id]));
-        }
-        if (Ok && Req[K] >= 0 && W.writtenByteAt(Loc) != Req[K])
-          Ok = false;
-        Mask.push_back(Ok ? 1 : 0);
-      }
-    }
-  }
-  return Allow;
-}
-
-/// Recursive reads-byte-from justification of a JS base, byte by byte,
-/// with register-constraint pruning (always), model-admission pruning
-/// (when a model is supplied), and equivalence sleep sets (when a
-/// reduction context is supplied).
-template <typename RelT> class JsJustifier {
-  using ExecT = BasicCandidateExecution<RelT>;
-
-public:
-  JsJustifier(JsBase<RelT> &B, const JsModel *Prune, uint64_t *PrunedSubtrees,
-              int FirstWriterOnly,
-              const std::function<bool(const ExecT &, const Outcome &)>
-                  &Visit,
-              const JsReductionCtx *Red = nullptr,
-              uint64_t *SleptBranches = nullptr,
-              const StaticAllowMask *StaticAllow = nullptr,
-              uint64_t *StaticRfPruned = nullptr)
-      : B(B), Prune(Prune), PrunedSubtrees(PrunedSubtrees),
-        FirstWriterOnly(FirstWriterOnly), Visit(Visit), Red(Red),
-        SleptBranches(SleptBranches), StaticAllow(StaticAllow),
-        StaticRfPruned(StaticRfPruned) {
-    if (Red) {
-      B.CE.Rbf.clear();
-      setupTwins();
-      setupRfKeys();
-    }
-  }
-
-  /// \returns false if the visitor stopped the enumeration.
-  bool run() {
-    B.CE.Rbf.clear();
-    return justifyRead(0);
-  }
-
-private:
-  //===--------------------------------------------------------------------===//
-  // Sleep-set precomputation (per base)
-  //===--------------------------------------------------------------------===//
-
+/// Per-base state for the walker, computed once per path combination on
+/// the building thread and shared read-only by the base's work items.
+template <typename L> struct Prepared {
+  typename L::Base B;
+  ByteMask Allow;   ///< static may-rf writer mask; empty: no static pruning
+  ByteMask Explore; ///< rf sleep-set key mask; empty: no key sleeping
   /// Twin links for the exact symmetry classes: TwinPrev[Id] is the event
   /// at the same body position in the previous class member that chose the
   /// same control-flow path, or -1. Exact twins have byte-identical
   /// attributes, so swapping their two threads wholesale is an
-  /// automorphism of the base.
-  void setupTwins() {
-    const ThreadSymmetry &Sym = Red->Sym;
-    TwinPrev.assign(B.CE.numEvents(), -1);
-    TwinThreadOf.assign(B.CE.numEvents(), -1);
-    ThreadRefs.assign(B.Paths.size(), 0);
-    if (Sym.empty() || B.PathIdx.empty())
-      return;
-    std::vector<std::vector<EventId>> ThreadEvents(B.Paths.size());
-    for (const Event &E : B.CE.Events)
-      if (E.Ord != Mode::Init)
-        ThreadEvents[E.Thread].push_back(E.Id);
-    for (size_t Ci = 0; Ci < Sym.Classes.size(); ++Ci) {
-      if (!Sym.Exact[Ci])
-        continue;
-      const std::vector<unsigned> &Cls = Sym.Classes[Ci];
-      for (size_t K = 1; K < Cls.size(); ++K) {
-        unsigned T1 = Cls[K - 1], T2 = Cls[K];
-        if (B.PathIdx[T1] != B.PathIdx[T2])
-          continue; // different paths: no positional twin pairing
-        assert(ThreadEvents[T1].size() == ThreadEvents[T2].size());
-        for (size_t I = 0; I < ThreadEvents[T2].size(); ++I) {
-          TwinPrev[ThreadEvents[T2][I]] =
-              static_cast<int>(ThreadEvents[T1][I]);
-          TwinThreadOf[ThreadEvents[T2][I]] = static_cast<int>(T1);
+  /// automorphism of the base. Empty: no twin sleeping.
+  std::vector<int> TwinPrev;
+  std::vector<int> TwinThreadOf; ///< per event: thread of that twin or -1
+};
+
+//===----------------------------------------------------------------------===//
+// Event-language traits
+//===----------------------------------------------------------------------===//
+//
+// Each event language is a stateless traits struct the walker and driver
+// are instantiated on (static dispatch, no virtual calls in the per-byte
+// loop). It supplies:
+//   Prog, Model, Exec, Path, Base, Result, Valid  the types involved;
+//   paths(P) / build(P, Chosen)  the per-thread paths and the skeleton of
+//                                one combination;
+//   readBegin / readEnd / eligible / bind / unbind / value
+//                                the per-byte justification step;
+//   readDone(B, ReadIdx, Prune)  the check when a read completes: register
+//                                constraints and the language's own
+//                                admission-prune placement;
+//   complete(B, Emit)            the completion of a justified candidate
+//                                (coherence orders where the language has
+//                                them), calling Emit per candidate;
+//   witness(M, X)                the verdict on a complete candidate;
+//   pathFeasible / staticAllow / sleepKeys
+//                                the static tier and rf sleep-set hooks.
+
+/// The JavaScript event language, on either relation tier.
+template <typename RelT> struct JsLang {
+  using Prog = Program;
+  using Model = JsModel;
+  using Exec = BasicCandidateExecution<RelT>;
+  using Path = ThreadPath;
+  using Base = Skeleton<Exec, Path>;
+  using Result = BasicEnumerationResult<RelT>;
+  static constexpr uint64_t Result::*Valid = &Result::ValidCandidates;
+
+  static std::vector<std::vector<Path>> paths(const Program &P) {
+    std::vector<std::vector<Path>> Out(P.numThreads());
+    for (unsigned T = 0; T < Out.size(); ++T)
+      Out[T] = enumeratePaths(P.threadBody(T));
+    return Out;
+  }
+
+  static Base build(const Program &P, std::vector<const Path *> Chosen) {
+    Base B;
+    B.Paths = std::move(Chosen);
+
+    std::vector<Event> Events;
+    // One Init event per buffer, carrying any declared initial bytes.
+    for (unsigned Buf = 0; Buf < P.bufferSizes().size(); ++Buf) {
+      EventId Id = static_cast<EventId>(Events.size());
+      if (P.initBytes(Buf).empty())
+        Events.push_back(makeInit(Id, P.bufferSizes()[Buf], Buf));
+      else
+        Events.push_back(makeInit(Id, P.initBytes(Buf), Buf));
+    }
+    // Thread events, in path order.
+    for (unsigned T = 0; T < B.Paths.size(); ++T) {
+      for (const Instr *I : B.Paths[T]->Accesses) {
+        EventId Id = static_cast<EventId>(Events.size());
+        const Acc &A = I->Access;
+        Event E;
+        switch (I->K) {
+        case Instr::Kind::Load:
+          E = makeRead(Id, static_cast<int>(T), A.Ord, A.Offset, A.Width,
+                       /*Value=*/0, A.TearFree, A.Block);
+          B.RegOfEvent[Id] = I->Dst;
+          break;
+        case Instr::Kind::Store:
+          E = makeWrite(Id, static_cast<int>(T), A.Ord, A.Offset, A.Width,
+                        I->Value, A.TearFree, A.Block);
+          break;
+        case Instr::Kind::Rmw:
+          E = makeRMW(Id, static_cast<int>(T), A.Offset, A.Width,
+                      /*ReadValue=*/0, I->Value, A.Block);
+          B.RegOfEvent[Id] = I->Dst;
+          break;
+        default:
+          assert(false && "conditionals never materialise as events");
+        }
+        Events.push_back(E);
+      }
+    }
+    B.X = Exec(std::move(Events));
+    finishSkeleton(B, B.X.Sb);
+    return B;
+  }
+
+  static unsigned readBegin(const Event &R) { return R.readBegin(); }
+  static unsigned readEnd(const Event &R) { return R.readEnd(); }
+  static bool eligible(const Event &W, const Event &R, unsigned Loc) {
+    return W.Id != R.Id && W.Block == R.Block && W.writesByte(Loc);
+  }
+  static void bind(Exec &X, const Event &W, Event &R, unsigned Loc) {
+    X.Rbf.push_back({Loc, W.Id, R.Id});
+    R.ReadBytes[Loc - R.Index] = W.writtenByteAt(Loc);
+  }
+  static void unbind(Exec &X, const Event &, Event &, unsigned) {
+    X.Rbf.pop_back();
+  }
+  static uint64_t value(const Event &R) { return valueOfBytes(R.ReadBytes); }
+
+  /// The read's value is complete; prune against the path constraints,
+  /// then against the model's tot-independent axioms (monotone in the
+  /// justified prefix, so the whole subtree dies with it). The last read
+  /// is left to the full validity check.
+  static ReadVerdict readDone(const Base &B, size_t ReadIdx,
+                              const JsModel *Prune) {
+    const Event &R = B.X.Events[B.Reads[ReadIdx]];
+    if (!constraintsAllow(*B.Paths[R.Thread], B.RegOfEvent.at(R.Id),
+                          value(R)))
+      return ReadVerdict::Refuted;
+    if (Prune && ReadIdx + 1 < B.Reads.size() && !Prune->admitsPartial(B.X))
+      return ReadVerdict::Pruned;
+    return ReadVerdict::Live;
+  }
+
+  template <typename EmitF> static bool complete(Base &, EmitF &&Emit) {
+    return Emit();
+  }
+
+  static std::optional<Exec> witness(const JsModel &M, const Exec &CE) {
+    RelT Tot;
+    if (!M.allows(CE, &Tot))
+      return std::nullopt;
+    Exec Witness = CE;
+    Witness.Tot = Tot;
+    return Witness;
+  }
+
+  /// Dropping an infeasible combination is sound: every candidate on it
+  /// dies at the contradicted read's constraintsAllow check before being
+  /// emitted, so its valid-outcome contribution is empty — and under
+  /// reduction, orbit siblings of an infeasible canonical combination
+  /// choose the same path multiset, so they are infeasible too and the
+  /// orbit closure of the empty set stays empty.
+  static bool pathFeasible(const analysis::StaticValues &SV, const Path &P) {
+    return SV.pathFeasible(P);
+  }
+
+  /// Builds the static writer-allow mask of one base from the value
+  /// analysis: a writer is masked off when it falls outside the read's
+  /// may-rf candidate set, or when its written byte contradicts one of the
+  /// path's MustEqual constraints on the read's register (any such
+  /// justification is cut by constraintsAllow the moment the read
+  /// completes, so skipping it up front loses nothing — not even a counted
+  /// candidate). Event-to-access mapping replays build()'s event order:
+  /// one Init per buffer, then each thread's path accesses in sequence.
+  static ByteMask staticAllow(const analysis::StaticValues &SV,
+                              const Base &B) {
+    std::vector<int> AccOf(B.X.Events.size(), -1);
+    size_t Pos = 0;
+    while (Pos < B.X.Events.size() && B.X.Events[Pos].Ord == Mode::Init)
+      ++Pos;
+    for (unsigned T = 0; T < B.Paths.size(); ++T)
+      for (const Instr *I : B.Paths[T]->Accesses)
+        AccOf[Pos++] = static_cast<int>(SV.AccessOfInstr.at(I));
+    assert(Pos == B.X.Events.size() && "event/access replay out of sync");
+
+    ByteMask Allow(B.Reads.size());
+    for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
+      const Event &R = B.X.Events[B.Reads[RI]];
+      const analysis::ReadMayRf *MR =
+          SV.readMayRf(static_cast<unsigned>(AccOf[R.Id]));
+      assert(MR && "read event mapped to a non-read access");
+
+      // Per-byte required values from the path's MustEqual constraints on
+      // the read's register; Impossible when the constraints conflict or a
+      // required value does not fit the read's width.
+      unsigned Width = R.readEnd() - R.readBegin();
+      unsigned Reg = B.RegOfEvent.at(R.Id);
+      std::vector<int> Req(Width, -1);
+      bool Impossible = false;
+      for (const RegConstraint &Ct : B.Paths[R.Thread]->Constraints) {
+        if (!Ct.MustEqual || Ct.Reg != Reg)
+          continue;
+        if (Width < 8 && (Ct.Value >> (8 * Width)) != 0) {
+          Impossible = true;
+          break;
+        }
+        for (unsigned K = 0; K < Width; ++K) {
+          int Byte = static_cast<uint8_t>(Ct.Value >> (8 * K));
+          if (Req[K] >= 0 && Req[K] != Byte) {
+            Impossible = true;
+            break;
+          }
+          Req[K] = Byte;
+        }
+        if (Impossible)
+          break;
+      }
+
+      Allow[RI].resize(Width);
+      for (unsigned Loc = R.readBegin(); Loc < R.readEnd(); ++Loc) {
+        unsigned K = Loc - R.readBegin();
+        const analysis::MayRfByte &MB = MR->Bytes[K];
+        std::vector<uint8_t> &Mask = Allow[RI][K];
+        for (const Event &W : B.X.Events) {
+          if (!eligible(W, R, Loc))
+            continue;
+          bool Ok = !Impossible;
+          if (Ok) {
+            if (W.Ord == Mode::Init)
+              Ok = MB.Init;
+            else
+              Ok = std::binary_search(MB.Writers.begin(), MB.Writers.end(),
+                                      static_cast<unsigned>(AccOf[W.Id]));
+          }
+          if (Ok && Req[K] >= 0 && W.writtenByteAt(Loc) != Req[K])
+            Ok = false;
+          Mask.push_back(Ok ? 1 : 0);
         }
       }
     }
+    return Allow;
   }
 
   /// rf sleep-set keys: two writer choices for the same read byte are
@@ -500,19 +468,20 @@ private:
   /// static "newer write hb-between" bit (HBC3), and the writer's
   /// contribution to the tear-free count. Writers agreeing on all four are
   /// keyed together and only the first is explored — the skipped subtrees
-  /// produce byte-identical candidates, verdicts, and outcomes.
-  void setupRfKeys() {
-    KeysActive = B.CE.Asw.empty();
-    for (const Event &E : B.CE.Events)
+  /// produce byte-identical candidates, verdicts, and outcomes. \returns
+  /// an empty mask when the precondition fails.
+  static ByteMask sleepKeys(const Base &B, const JsModel &M) {
+    if (!B.X.Asw.empty())
+      return {};
+    for (const Event &E : B.X.Events)
       if (E.Ord == Mode::SeqCst)
-        KeysActive = false;
-    if (!KeysActive)
-      return;
-    RelT Hb = B.CE.happensBefore(Red->Spec.Sw); // rbf is empty: static hb
+        return {};
+    const ModelSpec &Spec = M.spec();
+    RelT Hb = B.X.happensBefore(Spec.Sw); // rbf is empty: static hb
 
-    Explore.resize(B.Reads.size());
+    ByteMask Explore(B.Reads.size());
     for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
-      const Event &R = B.CE.Events[B.Reads[RI]];
+      const Event &R = B.X.Events[B.Reads[RI]];
 
       // The writers the tear-free rule would count for R, over all byte
       // choices: tear-free writers of the exact range (plus Init under the
@@ -522,11 +491,10 @@ private:
         if (!R.TearFree || !W.TearFree)
           return false;
         return sameWriteReadRange(W, R) ||
-               (Red->Spec.Tear == TearRuleKind::Strong &&
-                W.Ord == Mode::Init);
+               (Spec.Tear == TearRuleKind::Strong && W.Ord == Mode::Init);
       };
       unsigned CountingWriters = 0;
-      for (const Event &W : B.CE.Events)
+      for (const Event &W : B.X.Events)
         if (W.Id != R.Id && W.Block == R.Block && TearCounts(W) &&
             W.writeBegin() < R.readEnd() && R.readBegin() < W.writeEnd())
           ++CountingWriters;
@@ -545,8 +513,8 @@ private:
         };
         std::vector<Key> Keys;
         std::vector<uint8_t> &Mask = Explore[RI][Loc - R.readBegin()];
-        for (const Event &W : B.CE.Events) {
-          if (W.Id == R.Id || W.Block != R.Block || !W.writesByte(Loc))
+        for (const Event &W : B.X.Events) {
+          if (!eligible(W, R, Loc))
             continue;
           Key K;
           K.Val = W.writtenByteAt(Loc);
@@ -554,766 +522,283 @@ private:
           // HBC3 mirrors checkHbConsistency3 exactly, including its
           // block-agnostic writesByte scan.
           K.Hbc3 = false;
-          for (const Event &C : B.CE.Events)
+          for (const Event &C : B.X.Events)
             if (Hb.get(W.Id, C.Id) && Hb.get(C.Id, R.Id) &&
                 C.writesByte(Loc)) {
               K.Hbc3 = true;
               break;
             }
-          K.TearK =
-              (TearDiscriminates && TearCounts(W)) ? W.Id + 1 : 0;
-          bool Fresh =
-              std::find(Keys.begin(), Keys.end(), K) == Keys.end();
+          K.TearK = (TearDiscriminates && TearCounts(W)) ? W.Id + 1 : 0;
+          bool Fresh = std::find(Keys.begin(), Keys.end(), K) == Keys.end();
           Keys.push_back(K);
           Mask.push_back(Fresh ? 1 : 0);
         }
       }
     }
+    return Explore;
+  }
+};
+
+/// The mixed-size ARMv8 event language: rbf justifications plus granule
+/// coherence orders. It has no static tier or rf sleep keys yet, and no
+/// admission prune; the driver never asks for them on ARMv8 walks.
+struct ArmLang {
+  using Prog = ArmProgram;
+  using Model = Armv8Model;
+  using Exec = ArmExecution;
+  using Path = ArmThreadPath;
+  using Base = Skeleton<Exec, Path>;
+  using Result = ArmEnumerationResult;
+  static constexpr uint64_t Result::*Valid = &Result::ConsistentCandidates;
+
+  static std::vector<std::vector<Path>> paths(const ArmProgram &P) {
+    std::vector<std::vector<Path>> Out(P.numThreads());
+    for (unsigned T = 0; T < Out.size(); ++T)
+      Out[T] = enumerateArmPaths(P.threadBody(T));
+    return Out;
   }
 
-  //===--------------------------------------------------------------------===//
-  // Enumeration
-  //===--------------------------------------------------------------------===//
+  /// Materialises the skeleton for one choice of paths.
+  static Base build(const ArmProgram &P, std::vector<const Path *> Chosen) {
+    Base S;
+    S.Paths = std::move(Chosen);
 
-  bool justifyRead(size_t ReadIdx) {
-    if (ReadIdx == B.Reads.size())
-      return emit();
-    return justifyByte(ReadIdx, B.CE.Events[B.Reads[ReadIdx]].readBegin());
-  }
-
-  /// \returns true if the subtree choosing \p W for the current byte is
-  /// asleep: W is the positional twin of an as-yet unreferenced exact
-  /// class member's writer (same attributes, swappable threads), and the
-  /// reading thread is outside the pair, so the explored sibling's
-  /// subtree is isomorphic and the orbit closure recovers its outcomes.
-  bool twinAsleep(const Event &W, const Event &R) const {
-    int Prev = TwinPrev[W.Id];
-    if (Prev < 0)
-      return false;
-    int T1 = TwinThreadOf[W.Id], T2 = W.Thread;
-    if (R.Thread == T1 || R.Thread == T2)
-      return false;
-    return ThreadRefs[T1] == 0 && ThreadRefs[T2] == 0;
-  }
-
-  void retain(const Event &E) {
-    if (E.Thread >= 0)
-      ++ThreadRefs[E.Thread];
-  }
-  void release(const Event &E) {
-    if (E.Thread >= 0)
-      --ThreadRefs[E.Thread];
-  }
-
-  bool justifyByte(size_t ReadIdx, unsigned Loc) {
-    Event &R = B.CE.Events[B.Reads[ReadIdx]];
-    if (Loc == R.readEnd()) {
-      // The read's value is complete; prune against the path constraints,
-      // then against the model's tot-independent axioms (monotone in the
-      // justified prefix, so the whole subtree dies with it).
-      auto RegIt = B.RegOfEvent.find(R.Id);
-      assert(RegIt != B.RegOfEvent.end() && "read event without a register");
-      uint64_t Value = valueOfBytes(R.ReadBytes);
-      if (!constraintsAllow(*B.Paths[R.Thread], RegIt->second, Value))
-        return true;
-      if (Prune && ReadIdx + 1 < B.Reads.size() &&
-          !Prune->admitsPartial(B.CE)) {
-        if (PrunedSubtrees)
-          ++*PrunedSubtrees;
-        return true;
+    struct DepFixup {
+      EventId Ev;
+      int AddrReg, DataReg;
+      uint64_t CtrlRegs;
+      int RmwTag;
+      bool IsLoad;
+    };
+    std::vector<ArmEvent> Events;
+    for (unsigned B = 0; B < P.bufferSizes().size(); ++B)
+      Events.push_back(makeArmInit(static_cast<EventId>(Events.size()),
+                                   P.bufferSizes()[B], B));
+    std::vector<DepFixup> Fixups;
+    for (unsigned T = 0; T < S.Paths.size(); ++T) {
+      for (const ArmPathElem &Elem : S.Paths[T]->Elems) {
+        const ArmInstr &I = *Elem.I;
+        EventId Id = static_cast<EventId>(Events.size());
+        ArmEvent E;
+        switch (I.K) {
+        case ArmInstr::Kind::Load:
+          E = makeArmRead(Id, static_cast<int>(T), I.Offset, I.Width,
+                          I.Acquire, I.Exclusive, I.Block);
+          S.RegOfEvent[Id] = I.Dst;
+          break;
+        case ArmInstr::Kind::Store:
+          E = makeArmWrite(Id, static_cast<int>(T), I.Offset, I.Width,
+                           I.Value, I.Release, I.Exclusive, I.Block);
+          break;
+        case ArmInstr::Kind::DmbFull:
+        case ArmInstr::Kind::DmbLd:
+        case ArmInstr::Kind::DmbSt:
+        case ArmInstr::Kind::Isb:
+          E = makeArmFence(Id, static_cast<int>(T),
+                           I.K == ArmInstr::Kind::DmbFull ? ArmKind::DmbFull
+                           : I.K == ArmInstr::Kind::DmbLd ? ArmKind::DmbLd
+                           : I.K == ArmInstr::Kind::DmbSt ? ArmKind::DmbSt
+                                                          : ArmKind::Isb);
+          break;
+        case ArmInstr::Kind::IfEq:
+        case ArmInstr::Kind::IfNe:
+          continue; // branches do not materialise as events
+        }
+        E.SourceTag = I.SourceTag;
+        uint64_t CtrlRegs = Elem.CtrlRegs;
+        if (I.CtrlDepOn >= 0)
+          CtrlRegs |= uint64_t(1) << static_cast<unsigned>(I.CtrlDepOn);
+        Fixups.push_back({Id, I.AddrDepOn, I.DataDepOn, CtrlRegs, I.RmwTag,
+                          I.K == ArmInstr::Kind::Load});
+        Events.push_back(E);
       }
-      return justifyRead(ReadIdx + 1);
     }
-    unsigned WriterPos = 0;
-    for (const Event &W : B.CE.Events) {
-      if (W.Id == R.Id || W.Block != R.Block || !W.writesByte(Loc))
-        continue;
-      unsigned ThisPos = WriterPos++;
-      if (FirstWriterOnly >= 0 && ReadIdx == 0 && Loc == R.readBegin() &&
-          ThisPos != static_cast<unsigned>(FirstWriterOnly))
-        continue;
-      // Static may-rf pruning: writers outside the read's candidate set
-      // only produce model-invalid or constraint-refuted candidates
-      // (StaticValues' exclusion rules are implied by every backend's
-      // validity axioms), so the subtree cannot contribute an outcome.
-      // Checked before the sleep sets: an excluded writer's whole rf-key
-      // class is excluded with it (the keys subsume the exclusion bits),
-      // so sleeping siblings never rely on a skipped representative.
-      if (StaticAllow &&
-          !(*StaticAllow)[ReadIdx][Loc - R.readBegin()][ThisPos]) {
-        if (StaticRfPruned)
-          ++*StaticRfPruned;
-        continue;
+
+    S.X = ArmExecution(std::move(Events));
+    ArmExecution &X = S.X;
+    finishSkeleton(S, X.Po);
+
+    // Wire register-carried dependencies. The provider of a register is
+    // the po-latest load writing it before the consumer.
+    auto ProviderOf = [&](const DepFixup &F, unsigned Reg) -> int {
+      int Provider = -1;
+      for (const auto &[Ev, R] : S.RegOfEvent)
+        if (R == Reg && X.Events[Ev].Thread == X.Events[F.Ev].Thread &&
+            X.Po.get(Ev, F.Ev))
+          Provider = std::max(Provider, static_cast<int>(Ev));
+      return Provider;
+    };
+    for (const DepFixup &F : Fixups) {
+      if (F.AddrReg >= 0) {
+        int Prov = ProviderOf(F, static_cast<unsigned>(F.AddrReg));
+        if (Prov >= 0)
+          X.AddrDep.set(static_cast<unsigned>(Prov), F.Ev);
       }
-      if (Red) {
-        bool Asleep =
-            (KeysActive &&
-             !Explore[ReadIdx][Loc - R.readBegin()][ThisPos]) ||
-            twinAsleep(W, R);
-        if (Asleep) {
-          if (SleptBranches)
-            ++*SleptBranches;
+      if (F.DataReg >= 0) {
+        int Prov = ProviderOf(F, static_cast<unsigned>(F.DataReg));
+        if (Prov >= 0)
+          X.DataDep.set(static_cast<unsigned>(Prov), F.Ev);
+      }
+      uint64_t Ctrl = F.CtrlRegs;
+      while (Ctrl) {
+        unsigned Reg = static_cast<unsigned>(__builtin_ctzll(Ctrl));
+        Ctrl &= Ctrl - 1;
+        int Prov = ProviderOf(F, Reg);
+        if (Prov >= 0)
+          X.CtrlDep.set(static_cast<unsigned>(Prov), F.Ev);
+      }
+    }
+    // Exclusive pairs: a load and the po-next store sharing its RmwTag.
+    for (const DepFixup &FL : Fixups) {
+      if (!FL.IsLoad || FL.RmwTag < 0)
+        continue;
+      for (const DepFixup &FS : Fixups) {
+        if (FS.IsLoad || FS.RmwTag != FL.RmwTag)
           continue;
-        }
+        if (X.Events[FS.Ev].Thread == X.Events[FL.Ev].Thread &&
+            X.Po.get(FL.Ev, FS.Ev))
+          X.Rmw.set(FL.Ev, FS.Ev);
       }
-      B.CE.Rbf.push_back({Loc, W.Id, R.Id});
-      R.ReadBytes[Loc - R.Index] = W.writtenByteAt(Loc);
-      if (Red) {
-        retain(W);
-        retain(R);
-      }
-      bool Continue = justifyByte(ReadIdx, Loc + 1);
-      if (Red) {
-        release(W);
-        release(R);
-      }
-      B.CE.Rbf.pop_back();
-      if (!Continue)
-        return false;
     }
+    return S;
+  }
+
+  static unsigned readBegin(const ArmEvent &R) { return R.begin(); }
+  static unsigned readEnd(const ArmEvent &R) { return R.end(); }
+  static bool eligible(const ArmEvent &W, const ArmEvent &R, unsigned Loc) {
+    return W.isWrite() && W.Id != R.Id && W.Block == R.Block &&
+           W.touchesByte(Loc);
+  }
+  static void bind(Exec &X, const ArmEvent &W, ArmEvent &R, unsigned Loc) {
+    X.Rbf.push_back({Loc, W.Id, R.Id});
+    R.Bytes[Loc - R.Index] = W.byteAt(Loc);
+  }
+  static void unbind(Exec &X, const ArmEvent &, ArmEvent &, unsigned) {
+    X.Rbf.pop_back();
+  }
+  static uint64_t value(const ArmEvent &R) { return valueOfBytes(R.Bytes); }
+
+  static ReadVerdict readDone(const Base &B, size_t ReadIdx, const Model *) {
+    const ArmEvent &R = B.X.Events[B.Reads[ReadIdx]];
+    return armConstraintsAllow(*B.Paths[R.Thread], B.RegOfEvent.at(R.Id),
+                               value(R))
+               ? ReadVerdict::Live
+               : ReadVerdict::Refuted;
+  }
+
+  template <typename EmitF> static bool complete(Base &B, EmitF &&Emit) {
+    B.X.Co = B.X.computeGranules();
+    return forEachCoherenceCompletion(B.X, Emit);
+  }
+
+  static std::optional<Exec> witness(const Armv8Model &M, const Exec &X) {
+    if (!M.allows(X))
+      return std::nullopt;
+    return X;
+  }
+
+  static bool pathFeasible(const analysis::StaticValues &, const Path &) {
     return true;
   }
-
-  bool emit() {
-    Outcome O;
-    for (const auto &[Id, Reg] : B.RegOfEvent)
-      O.add(B.CE.Events[Id].Thread, Reg,
-            valueOfBytes(B.CE.Events[Id].ReadBytes));
-    return Visit(B.CE, O);
+  static ByteMask staticAllow(const analysis::StaticValues &, const Base &) {
+    return {};
   }
-
-  JsBase<RelT> &B;
-  const JsModel *Prune;
-  uint64_t *PrunedSubtrees;
-  int FirstWriterOnly;
-  const std::function<bool(const ExecT &, const Outcome &)> &Visit;
-  const JsReductionCtx *Red;
-  uint64_t *SleptBranches;
-  const StaticAllowMask *StaticAllow;
-  uint64_t *StaticRfPruned;
-
-  // Reduction state (set up iff Red).
-  bool KeysActive = false;
-  /// [read idx][byte offset][eligible-writer position] -> explore flag.
-  std::vector<std::vector<std::vector<uint8_t>>> Explore;
-  std::vector<int> TwinPrev;     ///< per event: earlier twin event or -1
-  std::vector<int> TwinThreadOf; ///< per event: thread of that twin or -1
-  std::vector<unsigned> ThreadRefs; ///< rbf references per thread
+  static ByteMask sleepKeys(const Base &, const Model &) { return {}; }
 };
 
-/// Sequential walk of the whole JS candidate space (canonical
-/// representatives only when a reduction context is supplied).
-template <typename RelT>
-bool walkJs(const Program &P, const JsModel *Prune, uint64_t *PrunedSubtrees,
-            const std::function<bool(const BasicCandidateExecution<RelT> &,
-                                     const Outcome &)> &Visit,
-            const JsReductionCtx *Red = nullptr,
-            uint64_t *SleptBranches = nullptr,
-            const analysis::StaticValues *SV = nullptr,
-            uint64_t *StaticRfPruned = nullptr,
-            uint64_t *StaticPathsPruned = nullptr) {
-  JsSpace Space(P);
-  std::vector<std::vector<uint8_t>> Feasible;
-  if (SV)
-    Feasible = feasiblePaths(Space, *SV);
-  for (size_t C = 0; C < Space.Combos; ++C) {
-    if (Red && !canonicalCombo(Space, Red->Sym, C))
-      continue;
-    if (SV && !comboFeasible(Space, Feasible, C)) {
-      if (StaticPathsPruned)
-        ++*StaticPathsPruned;
-      continue;
+/// The Thm 6.3 target event language, on either relation tier. Target
+/// programs are straight-line (the §6.3 fragment): one path per thread —
+/// its compiled body — so exactly one combination; the candidate space is
+/// rf justifications × per-location coherence orders. Each read is one
+/// cell, so the byte axis has width 1.
+template <typename RelT> struct TargetLang {
+  using Prog = CompiledTarget;
+  using Model = TargetModel;
+  using Exec = BasicTargetExecution<RelT>;
+  using Path = std::vector<TargetInstr>;
+  using Base = Skeleton<Exec, Path>;
+  using Result = BasicTargetEnumerationResult<RelT>;
+  static constexpr uint64_t Result::*Valid = &Result::ConsistentCandidates;
+
+  static std::vector<std::vector<Path>> paths(const CompiledTarget &CT) {
+    std::vector<std::vector<Path>> Out(CT.Threads.size());
+    for (size_t T = 0; T < Out.size(); ++T)
+      Out[T] = {CT.Threads[T]};
+    return Out;
+  }
+
+  static Base build(const CompiledTarget &CT,
+                    std::vector<const Path *> Chosen) {
+    Base B;
+    B.Paths = std::move(Chosen);
+    std::vector<TargetEvent> Events;
+    for (unsigned L = 0; L < CT.NumLocs; ++L) {
+      TargetEvent Init;
+      Init.Id = static_cast<EventId>(Events.size());
+      Init.Kind = TKind::Write; // Thread -1, value 0
+      Init.Loc = L;
+      Init.IsInit = true;
+      Events.push_back(Init);
     }
-    JsBase<RelT> B = buildJsBase<RelT>(P, Space.chosen(C));
-    if (Red)
-      B.PathIdx = Space.indices(C);
-    StaticAllowMask Allow;
-    if (SV)
-      Allow = buildJsStaticAllow(*SV, B);
-    JsJustifier<RelT> J(B, Prune, PrunedSubtrees, /*FirstWriterOnly=*/-1,
-                        Visit, Red, SleptBranches, SV ? &Allow : nullptr,
-                        StaticRfPruned);
-    if (!J.run())
-      return false;
-  }
-  return true;
-}
-
-/// The shared JS enumeration core: identical structure for both relation
-/// tiers, so the fast path and the dynamic path cannot diverge.
-template <typename RelT>
-BasicEnumerationResult<RelT>
-enumerateJsCore(const Program &P, const JsModel &M, const EngineConfig &Cfg,
-                unsigned Threads, EngineStats &Stats,
-                const JsReductionCtx *Red = nullptr,
-                const analysis::StaticValues *SV = nullptr) {
-  using ExecT = BasicCandidateExecution<RelT>;
-  using ResultT = BasicEnumerationResult<RelT>;
-  const JsModel *Prune = Cfg.Prune ? &M : nullptr;
-  JsSpace Space(P);
-
-  auto Accumulate = [&M](ResultT &Into, const ExecT &CE, const Outcome &O) {
-    ++Into.CandidatesConsidered;
-    if (Into.Allowed.count(O))
-      return true; // outcome already justified
-    RelT Tot;
-    if (M.allows(CE, &Tot)) {
-      ++Into.ValidCandidates;
-      ExecT Witness = CE;
-      Witness.Tot = Tot;
-      Into.Allowed.emplace(O, std::move(Witness));
-    }
-    return true;
-  };
-
-  if (Threads <= 1) {
-    // Sequential: one shared result, with global outcome deduplication —
-    // exactly the seed's behaviour (modulo pruning and reduction).
-    ResultT Result;
-    Stats.WorkItems = Space.Combos;
-    walkJs<RelT>(P, Prune, &Stats.PrunedSubtrees,
-                 [&](const ExecT &CE, const Outcome &O) {
-                   return Accumulate(Result, CE, O);
-                 },
-                 Red, &Stats.SleptBranches, SV, &Stats.StaticRfPruned,
-                 &Stats.StaticPathsPruned);
-    return Result;
-  }
-
-  // Sharded: split combinations — and, within each, the first read's
-  // writer choices — into work items with item-local results, merged in
-  // item order for determinism. Under reduction, non-canonical
-  // combinations are dropped up front and slept first-writer items simply
-  // produce nothing: the sleep rules are a function of the justification
-  // stack alone, so sharding cannot change what is explored.
-  std::vector<WorkItem> Items;
-  std::vector<JsBase<RelT>> Bases;
-  std::vector<StaticAllowMask> BaseAllow;
-  std::vector<size_t> ComboOfBase(Space.Combos, 0);
-  std::vector<std::vector<uint8_t>> Feasible;
-  if (SV)
-    Feasible = feasiblePaths(Space, *SV);
-  for (size_t C = 0; C < Space.Combos; ++C) {
-    if (Red && !canonicalCombo(Space, Red->Sym, C))
-      continue;
-    if (SV && !comboFeasible(Space, Feasible, C)) {
-      // Counted here on the building thread, mirroring the sequential
-      // walk exactly, so the counter is deterministic across Threads.
-      ++Stats.StaticPathsPruned;
-      continue;
-    }
-    ComboOfBase[C] = Bases.size();
-    Bases.push_back(buildJsBase<RelT>(P, Space.chosen(C)));
-    JsBase<RelT> &B = Bases.back();
-    if (Red)
-      B.PathIdx = Space.indices(C);
-    if (SV)
-      BaseAllow.push_back(buildJsStaticAllow(*SV, B));
-    if (B.Reads.empty()) {
-      Items.push_back({C, -1});
-      continue;
-    }
-    const Event &R0 = B.CE.Events[B.Reads[0]];
-    unsigned NW = countJsWriters(B.CE, R0.Id, R0.readBegin());
-    for (unsigned K = 0; K < NW; ++K)
-      Items.push_back({C, static_cast<int>(K)});
-  }
-  Stats.WorkItems = Items.size();
-
-  std::vector<ResultT> PerItem(Items.size());
-  std::vector<uint64_t> PerItemPruned(Items.size(), 0);
-  std::vector<uint64_t> PerItemSlept(Items.size(), 0);
-  std::vector<uint64_t> PerItemStatic(Items.size(), 0);
-  runSharded(Items.size(), Threads, [&](size_t I) {
-    // worker-private copy (the justifier mutates it)
-    JsBase<RelT> B = Bases[ComboOfBase[Items[I].Combo]];
-    std::function<bool(const ExecT &, const Outcome &)> Into =
-        [&](const ExecT &CE, const Outcome &O) {
-          return Accumulate(PerItem[I], CE, O);
-        };
-    JsJustifier<RelT> J(B, Prune, &PerItemPruned[I], Items[I].Writer, Into,
-                        Red, &PerItemSlept[I],
-                        SV ? &BaseAllow[ComboOfBase[Items[I].Combo]]
-                           : nullptr,
-                        &PerItemStatic[I]);
-    J.run();
-  });
-
-  ResultT Result;
-  for (size_t I = 0; I < Items.size(); ++I) {
-    Result.CandidatesConsidered += PerItem[I].CandidatesConsidered;
-    Result.ValidCandidates += PerItem[I].ValidCandidates;
-    Stats.PrunedSubtrees += PerItemPruned[I];
-    Stats.SleptBranches += PerItemSlept[I];
-    Stats.StaticRfPruned += PerItemStatic[I];
-    for (auto &[O, Witness] : PerItem[I].Allowed)
-      Result.Allowed.emplace(O, std::move(Witness));
-  }
-  return Result;
-}
-
-template <typename ResultT>
-OutcomeSummary summarize(const ResultT &R) {
-  OutcomeSummary S;
-  S.CandidatesConsidered = R.CandidatesConsidered;
-  S.ValidCandidates = R.ValidCandidates;
-  S.Allowed.reserve(R.Allowed.size());
-  for (const auto &[O, Witness] : R.Allowed) {
-    (void)Witness;
-    S.Allowed.push_back(O);
-  }
-  return S;
-}
-
-//===----------------------------------------------------------------------===//
-// ARMv8 candidate space
-//===----------------------------------------------------------------------===//
-
-struct ArmSpace {
-  std::vector<std::vector<ArmThreadPath>> PerThread;
-  size_t Combos = 1;
-
-  explicit ArmSpace(const ArmProgram &P) {
-    for (unsigned T = 0; T < P.numThreads(); ++T)
-      PerThread.push_back(enumerateArmPaths(P.threadBody(T)));
-    for (const std::vector<ArmThreadPath> &Paths : PerThread)
-      Combos *= Paths.size();
-  }
-
-  std::vector<const ArmThreadPath *> chosen(size_t Idx) const {
-    std::vector<const ArmThreadPath *> C(PerThread.size());
-    for (size_t T = PerThread.size(); T-- > 0;) {
-      C[T] = &PerThread[T][Idx % PerThread[T].size()];
-      Idx /= PerThread[T].size();
-    }
-    return C;
-  }
-};
-
-/// Materialises the skeleton for one choice of paths.
-ArmSkeleton buildArmSkeleton(const ArmProgram &P,
-                             std::vector<const ArmThreadPath *> Chosen) {
-  ArmSkeleton S;
-  S.Paths = std::move(Chosen);
-
-  struct DepFixup {
-    EventId Ev;
-    int AddrReg, DataReg;
-    uint64_t CtrlRegs;
-    int RmwTag;
-    bool IsLoad;
-  };
-  std::vector<ArmEvent> Events;
-  for (unsigned B = 0; B < P.bufferSizes().size(); ++B)
-    Events.push_back(makeArmInit(static_cast<EventId>(Events.size()),
-                                 P.bufferSizes()[B], B));
-  std::vector<std::vector<EventId>> ThreadEvents(P.numThreads());
-  std::vector<DepFixup> Fixups;
-  for (unsigned T = 0; T < S.Paths.size(); ++T) {
-    for (const ArmPathElem &Elem : S.Paths[T]->Elems) {
-      const ArmInstr &I = *Elem.I;
-      EventId Id = static_cast<EventId>(Events.size());
-      ArmEvent E;
-      switch (I.K) {
-      case ArmInstr::Kind::Load:
-        E = makeArmRead(Id, static_cast<int>(T), I.Offset, I.Width,
-                        I.Acquire, I.Exclusive, I.Block);
-        S.RegOfEvent[Id] = I.Dst;
-        break;
-      case ArmInstr::Kind::Store:
-        E = makeArmWrite(Id, static_cast<int>(T), I.Offset, I.Width, I.Value,
-                         I.Release, I.Exclusive, I.Block);
-        break;
-      case ArmInstr::Kind::DmbFull:
-      case ArmInstr::Kind::DmbLd:
-      case ArmInstr::Kind::DmbSt:
-      case ArmInstr::Kind::Isb:
-        E = makeArmFence(Id, static_cast<int>(T),
-                         I.K == ArmInstr::Kind::DmbFull ? ArmKind::DmbFull
-                         : I.K == ArmInstr::Kind::DmbLd ? ArmKind::DmbLd
-                         : I.K == ArmInstr::Kind::DmbSt ? ArmKind::DmbSt
-                                                        : ArmKind::Isb);
-        break;
-      case ArmInstr::Kind::IfEq:
-      case ArmInstr::Kind::IfNe:
-        continue; // branches do not materialise as events
-      }
-      E.SourceTag = I.SourceTag;
-      uint64_t CtrlRegs = Elem.CtrlRegs;
-      if (I.CtrlDepOn >= 0)
-        CtrlRegs |= uint64_t(1) << static_cast<unsigned>(I.CtrlDepOn);
-      Fixups.push_back({Id, I.AddrDepOn, I.DataDepOn, CtrlRegs, I.RmwTag,
-                        I.K == ArmInstr::Kind::Load});
-      Events.push_back(E);
-      ThreadEvents[T].push_back(Id);
-    }
-  }
-
-  S.Exec = ArmExecution(std::move(Events));
-  ArmExecution &X = S.Exec;
-  for (const std::vector<EventId> &Seq : ThreadEvents)
-    for (size_t I = 0; I < Seq.size(); ++I)
-      for (size_t J = I + 1; J < Seq.size(); ++J)
-        X.Po.set(Seq[I], Seq[J]);
-
-  // Wire register-carried dependencies. The provider of a register is the
-  // po-latest load writing it before the consumer.
-  auto ProviderOf = [&](const DepFixup &F, unsigned Reg) -> int {
-    int Provider = -1;
-    for (const auto &[Ev, R] : S.RegOfEvent)
-      if (R == Reg && X.Events[Ev].Thread == X.Events[F.Ev].Thread &&
-          X.Po.get(Ev, F.Ev))
-        Provider = std::max(Provider, static_cast<int>(Ev));
-    return Provider;
-  };
-  for (const DepFixup &F : Fixups) {
-    if (F.AddrReg >= 0) {
-      int Prov = ProviderOf(F, static_cast<unsigned>(F.AddrReg));
-      if (Prov >= 0)
-        X.AddrDep.set(static_cast<unsigned>(Prov), F.Ev);
-    }
-    if (F.DataReg >= 0) {
-      int Prov = ProviderOf(F, static_cast<unsigned>(F.DataReg));
-      if (Prov >= 0)
-        X.DataDep.set(static_cast<unsigned>(Prov), F.Ev);
-    }
-    uint64_t Ctrl = F.CtrlRegs;
-    while (Ctrl) {
-      unsigned Reg = static_cast<unsigned>(__builtin_ctzll(Ctrl));
-      Ctrl &= Ctrl - 1;
-      int Prov = ProviderOf(F, Reg);
-      if (Prov >= 0)
-        X.CtrlDep.set(static_cast<unsigned>(Prov), F.Ev);
-    }
-  }
-  // Exclusive pairs: a load and the po-next store sharing its RmwTag.
-  for (const DepFixup &FL : Fixups) {
-    if (!FL.IsLoad || FL.RmwTag < 0)
-      continue;
-    for (const DepFixup &FS : Fixups) {
-      if (FS.IsLoad || FS.RmwTag != FL.RmwTag)
-        continue;
-      if (X.Events[FS.Ev].Thread == X.Events[FL.Ev].Thread &&
-          X.Po.get(FL.Ev, FS.Ev))
-        X.Rmw.set(FL.Ev, FS.Ev);
-    }
-  }
-  return S;
-}
-
-unsigned countArmWriters(const ArmExecution &X, EventId R, unsigned Loc) {
-  unsigned Count = 0;
-  for (const ArmEvent &W : X.Events)
-    if (W.isWrite() && W.Id != R && W.Block == X.Events[R].Block &&
-        W.touchesByte(Loc))
-      ++Count;
-  return Count;
-}
-
-/// Enumerates rbf justifications and coherence orders on top of an ARM
-/// skeleton.
-class ArmJustifier {
-public:
-  ArmJustifier(const ArmSkeleton &S, int FirstWriterOnly,
-               const std::function<bool(const ArmExecution &,
-                                        const Outcome &)> &Visit)
-      : S(S), X(S.Exec), FirstWriterOnly(FirstWriterOnly), Visit(Visit) {
-    for (const ArmEvent &E : X.Events)
-      if (E.isRead())
-        Reads.push_back(E.Id);
-  }
-
-  bool run() { return justifyRead(0); }
-
-private:
-  bool justifyRead(size_t ReadIdx) {
-    if (ReadIdx == Reads.size())
-      return chooseCoherence();
-    return justifyByte(ReadIdx, X.Events[Reads[ReadIdx]].begin());
-  }
-
-  bool justifyByte(size_t ReadIdx, unsigned Loc) {
-    ArmEvent &R = X.Events[Reads[ReadIdx]];
-    if (Loc == R.end()) {
-      auto RegIt = S.RegOfEvent.find(R.Id);
-      assert(RegIt != S.RegOfEvent.end() && "read event without a register");
-      uint64_t Value = valueOfBytes(R.Bytes);
-      if (!armConstraintsAllow(*S.Paths[R.Thread], RegIt->second, Value))
-        return true;
-      return justifyRead(ReadIdx + 1);
-    }
-    unsigned WriterPos = 0;
-    for (const ArmEvent &W : X.Events) {
-      if (!W.isWrite() || W.Id == R.Id || W.Block != R.Block ||
-          !W.touchesByte(Loc))
-        continue;
-      unsigned ThisPos = WriterPos++;
-      if (FirstWriterOnly >= 0 && ReadIdx == 0 && Loc == R.begin() &&
-          ThisPos != static_cast<unsigned>(FirstWriterOnly))
-        continue;
-      X.Rbf.push_back({Loc, W.Id, R.Id});
-      R.Bytes[Loc - R.Index] = W.byteAt(Loc);
-      bool Continue = justifyByte(ReadIdx, Loc + 1);
-      X.Rbf.pop_back();
-      if (!Continue)
-        return false;
-    }
-    return true;
-  }
-
-  bool chooseCoherence() {
-    X.Co = X.computeGranules();
-    return forEachCoherenceCompletion(X, [this] { return emit(); });
-  }
-
-  bool emit() {
-    Outcome O;
-    for (const auto &[Id, Reg] : S.RegOfEvent)
-      O.add(X.Events[Id].Thread, Reg, valueOfBytes(X.Events[Id].Bytes));
-    return Visit(X, O);
-  }
-
-  const ArmSkeleton &S;
-  ArmExecution X;
-  std::vector<EventId> Reads;
-  int FirstWriterOnly;
-  const std::function<bool(const ArmExecution &, const Outcome &)> &Visit;
-};
-
-//===----------------------------------------------------------------------===//
-// Target-architecture candidate space
-//===----------------------------------------------------------------------===//
-
-/// The materialised base of a compiled target program. Target programs are
-/// straight-line (the §6.3 fragment), so there is exactly one control-flow
-/// combination; the candidate space is rf justifications × per-location
-/// coherence orders. Generic over the relation tier.
-template <typename RelT> struct TargetBase {
-  BasicTargetExecution<RelT> X;
-  std::vector<EventId> Reads;
-  std::map<EventId, unsigned> RegOfEvent;
-};
-
-template <typename RelT>
-TargetBase<RelT> buildTargetBase(const CompiledTarget &CT) {
-  TargetBase<RelT> B;
-  std::vector<TargetEvent> Events;
-  for (unsigned L = 0; L < CT.NumLocs; ++L) {
-    TargetEvent Init;
-    Init.Id = static_cast<EventId>(Events.size());
-    Init.Thread = -1;
-    Init.Kind = TKind::Write;
-    Init.Loc = L;
-    Init.WriteVal = 0;
-    Init.IsInit = true;
-    Events.push_back(Init);
-  }
-  std::vector<std::vector<EventId>> ThreadEvents(CT.Threads.size());
-  for (unsigned T = 0; T < CT.Threads.size(); ++T) {
-    for (const TargetInstr &I : CT.Threads[T]) {
-      TargetEvent E;
-      E.Id = static_cast<EventId>(Events.size());
-      E.Thread = static_cast<int>(T);
-      E.Kind = I.Kind;
-      E.Loc = I.Loc;
-      E.WriteVal = I.Value;
-      E.Acq = I.Acq;
-      E.Rel = I.Rel;
-      E.Sc = I.Sc;
-      E.Fence = I.Fence;
-      E.SourceIdx = I.SourceIdx;
-      if (E.isRead())
-        B.RegOfEvent[E.Id] = I.DstReg;
-      Events.push_back(E);
-      ThreadEvents[T].push_back(E.Id);
-    }
-  }
-  B.X = BasicTargetExecution<RelT>(std::move(Events), CT.NumLocs);
-  for (const std::vector<EventId> &Seq : ThreadEvents)
-    for (size_t I = 0; I < Seq.size(); ++I)
-      for (size_t J = I + 1; J < Seq.size(); ++J)
-        B.X.Po.set(Seq[I], Seq[J]);
-  for (const TargetEvent &E : B.X.Events)
-    if (E.isRead())
-      B.Reads.push_back(E.Id);
-  return B;
-}
-
-template <typename RelT>
-unsigned countTargetWriters(const BasicTargetExecution<RelT> &X, EventId R) {
-  unsigned Count = 0;
-  for (const TargetEvent &W : X.Events)
-    if (W.isWrite() && W.Id != R && W.Loc == X.Events[R].Loc)
-      ++Count;
-  return Count;
-}
-
-/// The target flavour of the static writer-allow mask: [read idx]
-/// [eligible-writer position] (cells are width-1, so no byte axis). The
-/// event-to-access mapping replays buildTargetBase's order: one init
-/// event per location, then every thread's instructions in sequence
-/// (fences included in the numbering, mapped to -1 by the analysis).
-/// The exclusion rules are refuted by per-location coherence on every
-/// backend — targetScPerLocation on five of them, and ImmLite's
-/// COHERENCE axiom (Hb;Eco irreflexive, init first in co) independently.
-template <typename RelT>
-std::vector<std::vector<uint8_t>>
-buildTargetStaticAllow(const analysis::StaticValues &SV,
-                       const TargetBase<RelT> &B, const CompiledTarget &CT) {
-  std::vector<int> AccOf(B.X.Events.size(), -1);
-  size_t Pos = CT.NumLocs; // init events map to no access
-  for (unsigned T = 0; T < CT.Threads.size(); ++T)
-    for (unsigned I = 0; I < CT.Threads[T].size(); ++I)
-      AccOf[Pos++] = SV.AccessOfTargetInstr[T][I];
-  assert(Pos == B.X.Events.size() && "event/access replay out of sync");
-
-  std::vector<std::vector<uint8_t>> Allow(B.Reads.size());
-  for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
-    EventId R = B.Reads[RI];
-    const analysis::ReadMayRf *MR =
-        SV.readMayRf(static_cast<unsigned>(AccOf[R]));
-    assert(MR && "read event mapped to a non-read access");
-    const analysis::MayRfByte &MB = MR->Bytes[0];
-    for (const TargetEvent &W : B.X.Events) {
-      if (!W.isWrite() || W.Id == R || W.Loc != B.X.Events[R].Loc)
-        continue;
-      bool Ok = W.IsInit
-                    ? MB.Init
-                    : std::binary_search(MB.Writers.begin(),
-                                         MB.Writers.end(),
-                                         static_cast<unsigned>(AccOf[W.Id]));
-      Allow[RI].push_back(Ok ? 1 : 0);
-    }
-  }
-  return Allow;
-}
-
-/// Enumerates rf justifications and coherence orders of a target base,
-/// pruning rf subtrees via the backend's monotone admission check and
-/// sleeping exact-twin rf choices when a symmetry is supplied. Only the
-/// twin rule applies at this tier: value-keyed rf merging is unsound here
-/// because fr and co verdicts depend on the rf writer's identity, not
-/// just the value read.
-template <typename RelT> class TargetJustifier {
-  using ExecT = BasicTargetExecution<RelT>;
-
-public:
-  TargetJustifier(TargetBase<RelT> &B, const TargetModel *Prune,
-                  uint64_t *PrunedSubtrees, int FirstWriterOnly,
-                  const std::function<bool(const ExecT &, const Outcome &)>
-                      &Visit,
-                  const ThreadSymmetry *Sym = nullptr,
-                  uint64_t *SleptBranches = nullptr,
-                  const std::vector<std::vector<uint8_t>> *StaticAllow =
-                      nullptr,
-                  uint64_t *StaticRfPruned = nullptr)
-      : B(B), Prune(Prune), PrunedSubtrees(PrunedSubtrees),
-        FirstWriterOnly(FirstWriterOnly), Visit(Visit),
-        SleptBranches(SleptBranches), StaticAllow(StaticAllow),
-        StaticRfPruned(StaticRfPruned) {
-    if (Sym && !Sym->empty())
-      setupTwins(*Sym);
-  }
-
-  bool run() { return justify(0); }
-
-private:
-  void setupTwins(const ThreadSymmetry &Sym) {
-    unsigned NumThreads = 0;
-    for (const TargetEvent &E : B.X.Events)
-      if (E.Thread >= 0)
-        NumThreads = std::max(NumThreads, static_cast<unsigned>(E.Thread) + 1);
-    TwinPrev.assign(B.X.Events.size(), -1);
-    TwinThreadOf.assign(B.X.Events.size(), -1);
-    ThreadRefs.assign(NumThreads, 0);
-    Sleeping = true;
-    std::vector<std::vector<EventId>> ThreadEvents(NumThreads);
-    for (const TargetEvent &E : B.X.Events)
-      if (E.Thread >= 0)
-        ThreadEvents[E.Thread].push_back(E.Id);
-    for (size_t Ci = 0; Ci < Sym.Classes.size(); ++Ci) {
-      if (!Sym.Exact[Ci])
-        continue;
-      const std::vector<unsigned> &Cls = Sym.Classes[Ci];
-      for (size_t K = 1; K < Cls.size(); ++K) {
-        unsigned T1 = Cls[K - 1], T2 = Cls[K];
-        for (size_t I = 0; I < ThreadEvents[T2].size(); ++I) {
-          TwinPrev[ThreadEvents[T2][I]] =
-              static_cast<int>(ThreadEvents[T1][I]);
-          TwinThreadOf[ThreadEvents[T2][I]] = static_cast<int>(T1);
-        }
+    for (unsigned T = 0; T < B.Paths.size(); ++T) {
+      for (const TargetInstr &I : *B.Paths[T]) {
+        TargetEvent E;
+        E.Id = static_cast<EventId>(Events.size());
+        E.Thread = static_cast<int>(T);
+        E.Kind = I.Kind;
+        E.Loc = I.Loc;
+        E.WriteVal = I.Value;
+        E.Acq = I.Acq;
+        E.Rel = I.Rel;
+        E.Sc = I.Sc;
+        E.Fence = I.Fence;
+        E.SourceIdx = I.SourceIdx;
+        if (E.isRead())
+          B.RegOfEvent[E.Id] = I.DstReg;
+        Events.push_back(E);
       }
     }
+    B.X = Exec(std::move(Events), CT.NumLocs);
+    finishSkeleton(B, B.X.Po);
+    return B;
   }
 
-  bool twinAsleep(const TargetEvent &W, const TargetEvent &R) const {
-    if (!Sleeping || TwinPrev[W.Id] < 0)
-      return false;
-    int T1 = TwinThreadOf[W.Id], T2 = W.Thread;
-    if (R.Thread == T1 || R.Thread == T2)
-      return false;
-    return ThreadRefs[T1] == 0 && ThreadRefs[T2] == 0;
+  static unsigned readBegin(const TargetEvent &) { return 0; }
+  static unsigned readEnd(const TargetEvent &) { return 1; }
+  static bool eligible(const TargetEvent &W, const TargetEvent &R,
+                       unsigned) {
+    return W.isWrite() && W.Id != R.Id && W.Loc == R.Loc;
+  }
+  static void bind(Exec &X, const TargetEvent &W, TargetEvent &R, unsigned) {
+    X.Rf.set(W.Id, R.Id);
+    R.ReadVal = W.WriteVal;
+  }
+  static void unbind(Exec &X, const TargetEvent &W, TargetEvent &R,
+                     unsigned) {
+    X.Rf.clear(W.Id, R.Id);
+  }
+  static uint64_t value(const TargetEvent &R) { return R.ReadVal; }
+
+  /// No register constraints (straight-line code); the po-loc ∪ rf
+  /// admission check runs after every rf edge, the last one included,
+  /// since coherence is still to be chosen.
+  static ReadVerdict readDone(const Base &B, size_t,
+                              const TargetModel *Prune) {
+    return Prune && !Prune->admitsPartial(B.X) ? ReadVerdict::Pruned
+                                               : ReadVerdict::Live;
   }
 
-  bool justify(size_t ReadIdx) {
-    if (ReadIdx == B.Reads.size())
-      return chooseCo(0);
-    EventId R = B.Reads[ReadIdx];
-    unsigned WriterPos = 0;
-    for (const TargetEvent &W : B.X.Events) {
-      if (!W.isWrite() || W.Id == R || W.Loc != B.X.Events[R].Loc)
-        continue;
-      unsigned ThisPos = WriterPos++;
-      if (FirstWriterOnly >= 0 && ReadIdx == 0 &&
-          ThisPos != static_cast<unsigned>(FirstWriterOnly))
-        continue;
-      // Static may-rf pruning; see JsJustifier — the excluded writers are
-      // same-thread-as-reader or shadowed-init choices, which the twin
-      // sleep rule never sleeps, so the two filters cannot interact.
-      if (StaticAllow && !(*StaticAllow)[ReadIdx][ThisPos]) {
-        if (StaticRfPruned)
-          ++*StaticRfPruned;
-        continue;
-      }
-      if (twinAsleep(W, B.X.Events[R])) {
-        if (SleptBranches)
-          ++*SleptBranches;
-        continue;
-      }
-      B.X.Rf.set(W.Id, R);
-      B.X.Events[R].ReadVal = W.WriteVal;
-      if (Sleeping) {
-        if (W.Thread >= 0)
-          ++ThreadRefs[W.Thread];
-        if (B.X.Events[R].Thread >= 0)
-          ++ThreadRefs[B.X.Events[R].Thread];
-      }
-      bool Continue = true;
-      if (Prune && !Prune->admitsPartial(B.X)) {
-        if (PrunedSubtrees)
-          ++*PrunedSubtrees;
-      } else {
-        Continue = justify(ReadIdx + 1);
-      }
-      if (Sleeping) {
-        if (W.Thread >= 0)
-          --ThreadRefs[W.Thread];
-        if (B.X.Events[R].Thread >= 0)
-          --ThreadRefs[B.X.Events[R].Thread];
-      }
-      B.X.Rf.clear(W.Id, R);
-      if (!Continue)
-        return false;
-    }
-    return true;
+  template <typename EmitF> static bool complete(Base &B, EmitF &&Emit) {
+    return chooseCo(B.X, 0, Emit);
   }
 
-  bool chooseCo(unsigned Loc) {
-    if (Loc == B.X.CoPerLoc.size())
-      return emit();
+  template <typename EmitF>
+  static bool chooseCo(Exec &X, unsigned Loc, EmitF &Emit) {
+    if (Loc == X.CoPerLoc.size())
+      return Emit();
     std::vector<EventId> Writers;
     EventId Init = ~0u;
-    for (const TargetEvent &E : B.X.Events) {
+    for (const TargetEvent &E : X.Events) {
       if (!E.isWrite() || E.Loc != Loc)
         continue;
       if (E.IsInit)
@@ -1323,222 +808,398 @@ private:
     }
     std::sort(Writers.begin(), Writers.end());
     do {
-      B.X.CoPerLoc[Loc].clear();
+      X.CoPerLoc[Loc].clear();
       if (Init != ~0u)
-        B.X.CoPerLoc[Loc].push_back(Init);
+        X.CoPerLoc[Loc].push_back(Init);
       for (EventId W : Writers)
-        B.X.CoPerLoc[Loc].push_back(W);
-      if (!chooseCo(Loc + 1))
+        X.CoPerLoc[Loc].push_back(W);
+      if (!chooseCo(X, Loc + 1, Emit))
         return false;
     } while (std::next_permutation(Writers.begin(), Writers.end()));
-    B.X.CoPerLoc[Loc].clear();
+    X.CoPerLoc[Loc].clear();
     return true;
   }
 
-  bool emit() {
-    Outcome O;
-    for (const auto &[Id, Reg] : B.RegOfEvent)
-      O.add(B.X.Events[Id].Thread, Reg, B.X.Events[Id].ReadVal);
-    return Visit(B.X, O);
+  static std::optional<Exec> witness(const TargetModel &M, const Exec &X) {
+    if (!M.allows(X))
+      return std::nullopt;
+    return X;
   }
 
-  TargetBase<RelT> &B;
-  const TargetModel *Prune;
-  uint64_t *PrunedSubtrees;
-  int FirstWriterOnly;
-  const std::function<bool(const ExecT &, const Outcome &)> &Visit;
-  uint64_t *SleptBranches;
-  const std::vector<std::vector<uint8_t>> *StaticAllow;
-  uint64_t *StaticRfPruned;
+  static bool pathFeasible(const analysis::StaticValues &, const Path &) {
+    return true;
+  }
 
-  // Twin sleep-set state (set up iff a non-empty symmetry was supplied).
-  bool Sleeping = false;
-  std::vector<int> TwinPrev;     ///< per event: earlier twin event or -1
-  std::vector<int> TwinThreadOf; ///< per event: thread of that twin or -1
-  std::vector<unsigned> ThreadRefs; ///< rf references per thread
+  /// The event-to-access mapping replays build()'s order: one init event
+  /// per location, then every thread's instructions in sequence (fences
+  /// included in the numbering, mapped to -1 by the analysis). The
+  /// exclusion rules are refuted by per-location coherence on every
+  /// backend — targetScPerLocation on five of them, and ImmLite's
+  /// COHERENCE axiom (Hb;Eco irreflexive, init first in co) independently.
+  static ByteMask staticAllow(const analysis::StaticValues &SV,
+                              const Base &B) {
+    std::vector<int> AccOf(B.X.Events.size(), -1);
+    size_t Pos = 0;
+    while (Pos < B.X.Events.size() && B.X.Events[Pos].IsInit)
+      ++Pos; // init events map to no access
+    for (unsigned T = 0; T < B.Paths.size(); ++T)
+      for (unsigned I = 0; I < B.Paths[T]->size(); ++I)
+        AccOf[Pos++] = SV.AccessOfTargetInstr[T][I];
+    assert(Pos == B.X.Events.size() && "event/access replay out of sync");
+
+    ByteMask Allow(B.Reads.size());
+    for (size_t RI = 0; RI < B.Reads.size(); ++RI) {
+      const TargetEvent &R = B.X.Events[B.Reads[RI]];
+      const analysis::ReadMayRf *MR =
+          SV.readMayRf(static_cast<unsigned>(AccOf[R.Id]));
+      assert(MR && "read event mapped to a non-read access");
+      const analysis::MayRfByte &MB = MR->Bytes[0];
+      std::vector<uint8_t> &Mask = Allow[RI].emplace_back();
+      for (const TargetEvent &W : B.X.Events) {
+        if (!eligible(W, R, 0))
+          continue;
+        bool Ok = W.IsInit
+                      ? MB.Init
+                      : std::binary_search(MB.Writers.begin(),
+                                           MB.Writers.end(),
+                                           static_cast<unsigned>(AccOf[W.Id]));
+        Mask.push_back(Ok ? 1 : 0);
+      }
+    }
+    return Allow;
+  }
+
+  /// Only the twin rule applies at this tier: value-keyed rf merging is
+  /// unsound here because fr and co verdicts depend on the rf writer's
+  /// identity, not just the value read.
+  static ByteMask sleepKeys(const Base &, const TargetModel &) { return {}; }
 };
 
-/// The shared target enumeration core for both relation tiers.
-template <typename RelT>
-BasicTargetEnumerationResult<RelT>
-enumerateTargetCore(const CompiledTarget &CT, const TargetModel &M,
-                    const EngineConfig &Cfg, unsigned Threads,
-                    EngineStats &Stats,
-                    const ThreadSymmetry *Sym = nullptr,
-                    const analysis::StaticValues *SV = nullptr) {
-  using ExecT = BasicTargetExecution<RelT>;
-  using ResultT = BasicTargetEnumerationResult<RelT>;
-  const TargetModel *Prune = Cfg.Prune ? &M : nullptr;
+//===----------------------------------------------------------------------===//
+// The justification walker
+//===----------------------------------------------------------------------===//
 
-  auto Accumulate = [&M](ResultT &Into, const ExecT &X, const Outcome &O) {
-    ++Into.CandidatesConsidered;
-    if (Into.Allowed.count(O))
-      return true; // outcome already witnessed
-    if (M.allows(X)) {
-      ++Into.ConsistentCandidates;
-      Into.Allowed.emplace(O, X);
+/// Recursive reads-byte-from justification of one base, byte by byte:
+/// optional first-writer restriction (work items), static may-rf pruning,
+/// rf sleep sets, the language's read-completion check, and its
+/// completion step, calling \p Visit(X, Outcome) per candidate.
+template <typename L, typename VisitF> class Walker {
+  using Event = std::decay_t<decltype(std::declval<typename L::Exec>()
+                                          .Events.front())>;
+
+public:
+  Walker(typename L::Base &B, const Prepared<L> &Pre,
+         const typename L::Model *Prune, int FirstWriterOnly,
+         EngineStats &Stats, VisitF &Visit)
+      : B(B), Pre(Pre), Prune(Prune), FirstWriterOnly(FirstWriterOnly),
+        Stats(Stats), Visit(Visit),
+        ThreadRefs(Pre.TwinPrev.empty() ? 0 : B.Paths.size(), 0) {}
+
+  /// \returns false if the visitor stopped the walk.
+  bool run() { return justifyRead(0); }
+
+private:
+  bool justifyRead(size_t ReadIdx) {
+    if (ReadIdx == B.Reads.size())
+      return L::complete(B, [this] { return Visit(B.X, outcome()); });
+    return justifyByte(ReadIdx, L::readBegin(B.X.Events[B.Reads[ReadIdx]]));
+  }
+
+  bool justifyByte(size_t ReadIdx, unsigned Loc) {
+    Event &R = B.X.Events[B.Reads[ReadIdx]];
+    if (Loc == L::readEnd(R)) {
+      switch (L::readDone(B, ReadIdx, Prune)) {
+      case ReadVerdict::Refuted:
+        return true;
+      case ReadVerdict::Pruned:
+        ++Stats.PrunedSubtrees;
+        return true;
+      case ReadVerdict::Live:
+        break;
+      }
+      return justifyRead(ReadIdx + 1);
+    }
+    unsigned K = Loc - L::readBegin(R);
+    unsigned WriterPos = 0;
+    for (const Event &W : B.X.Events) {
+      if (!L::eligible(W, R, Loc))
+        continue;
+      unsigned ThisPos = WriterPos++;
+      if (FirstWriterOnly >= 0 && ReadIdx == 0 && K == 0 &&
+          ThisPos != static_cast<unsigned>(FirstWriterOnly))
+        continue;
+      // Static may-rf pruning: writers outside the read's candidate set
+      // only produce model-invalid or constraint-refuted candidates
+      // (StaticValues' exclusion rules are implied by every backend's
+      // validity axioms), so the subtree cannot contribute an outcome.
+      // Checked before the sleep sets: an excluded writer's whole rf-key
+      // class is excluded with it (the keys subsume the exclusion bits),
+      // and the excluded same-thread or shadowed-init choices are never
+      // twin-slept, so sleeping siblings never rely on a skipped
+      // representative.
+      if (!Pre.Allow.empty() && !Pre.Allow[ReadIdx][K][ThisPos]) {
+        ++Stats.StaticRfPruned;
+        continue;
+      }
+      if ((!Pre.Explore.empty() && !Pre.Explore[ReadIdx][K][ThisPos]) ||
+          twinAsleep(W, R)) {
+        ++Stats.SleptBranches;
+        continue;
+      }
+      L::bind(B.X, W, R, Loc);
+      retain(W, R, +1);
+      bool Continue = justifyByte(ReadIdx, Loc + 1);
+      retain(W, R, -1);
+      L::unbind(B.X, W, R, Loc);
+      if (!Continue)
+        return false;
     }
     return true;
-  };
-
-  TargetBase<RelT> Base = buildTargetBase<RelT>(CT);
-  std::vector<std::vector<uint8_t>> Allow;
-  if (SV)
-    Allow = buildTargetStaticAllow(*SV, Base, CT);
-  unsigned FirstWriters =
-      Base.Reads.empty() ? 0 : countTargetWriters(Base.X, Base.Reads[0]);
-  if (Threads <= 1 || FirstWriters <= 1) {
-    ResultT Result;
-    Stats.WorkItems = 1;
-    std::function<bool(const ExecT &, const Outcome &)> Into =
-        [&](const ExecT &X, const Outcome &O) {
-          return Accumulate(Result, X, O);
-        };
-    TargetJustifier<RelT> J(Base, Prune, &Stats.PrunedSubtrees,
-                            /*FirstWriterOnly=*/-1, Into, Sym,
-                            &Stats.SleptBranches, SV ? &Allow : nullptr,
-                            &Stats.StaticRfPruned);
-    J.run();
-    return Result;
   }
 
-  // Sharded: the single straight-line combination splits across the first
-  // read's writer choices; item-local results merge in item order. Slept
-  // first-writer items produce nothing — the sleep rule is a function of
-  // the justification stack alone, so sharding cannot change coverage.
-  Stats.WorkItems = FirstWriters;
-  std::vector<ResultT> PerItem(FirstWriters);
-  std::vector<uint64_t> PerItemPruned(FirstWriters, 0);
-  std::vector<uint64_t> PerItemSlept(FirstWriters, 0);
-  std::vector<uint64_t> PerItemStatic(FirstWriters, 0);
-  runSharded(FirstWriters, Threads, [&](size_t I) {
-    TargetBase<RelT> B = Base; // worker-private copy (the justifier mutates it)
-    std::function<bool(const ExecT &, const Outcome &)> Into =
-        [&](const ExecT &X, const Outcome &O) {
-          return Accumulate(PerItem[I], X, O);
-        };
-    TargetJustifier<RelT> J(B, Prune, &PerItemPruned[I],
-                            static_cast<int>(I), Into, Sym,
-                            &PerItemSlept[I], SV ? &Allow : nullptr,
-                            &PerItemStatic[I]);
-    J.run();
-  });
-
-  ResultT Result;
-  for (size_t I = 0; I < FirstWriters; ++I) {
-    Result.CandidatesConsidered += PerItem[I].CandidatesConsidered;
-    Result.ConsistentCandidates += PerItem[I].ConsistentCandidates;
-    Stats.PrunedSubtrees += PerItemPruned[I];
-    Stats.SleptBranches += PerItemSlept[I];
-    Stats.StaticRfPruned += PerItemStatic[I];
-    for (auto &[O, Witness] : PerItem[I].Allowed)
-      Result.Allowed.emplace(O, std::move(Witness));
+  /// \returns true if the subtree choosing \p W for the current byte is
+  /// asleep: W is the positional twin of an as-yet unreferenced exact
+  /// class member's writer (same attributes, swappable threads), and the
+  /// reading thread is outside the pair, so the explored sibling's
+  /// subtree is isomorphic and the orbit closure recovers its outcomes.
+  bool twinAsleep(const Event &W, const Event &R) const {
+    if (ThreadRefs.empty() || Pre.TwinPrev[W.Id] < 0)
+      return false;
+    int T1 = Pre.TwinThreadOf[W.Id], T2 = W.Thread;
+    if (R.Thread == T1 || R.Thread == T2)
+      return false;
+    return ThreadRefs[T1] == 0 && ThreadRefs[T2] == 0;
   }
-  return Result;
-}
 
-template <typename RelT>
-OutcomeSummary summarizeTarget(const BasicTargetEnumerationResult<RelT> &R) {
-  OutcomeSummary S;
-  S.CandidatesConsidered = R.CandidatesConsidered;
-  S.ValidCandidates = R.ConsistentCandidates;
-  S.Allowed.reserve(R.Allowed.size());
-  for (const auto &[O, Witness] : R.Allowed) {
-    (void)Witness;
-    S.Allowed.push_back(O);
+  /// Adjusts the per-thread rf reference counts the twin rule reads.
+  void retain(const Event &W, const Event &R, int Delta) {
+    if (ThreadRefs.empty())
+      return;
+    for (int T : {W.Thread, R.Thread})
+      if (T >= 0)
+        ThreadRefs[T] += Delta;
   }
-  return S;
-}
 
-} // namespace
+  Outcome outcome() const {
+    Outcome O;
+    for (const auto &[Id, Reg] : B.RegOfEvent)
+      O.add(B.X.Events[Id].Thread, Reg, L::value(B.X.Events[Id]));
+    return O;
+  }
+
+  typename L::Base &B;
+  const Prepared<L> &Pre;
+  const typename L::Model *Prune;
+  int FirstWriterOnly;
+  EngineStats &Stats;
+  VisitF &Visit;
+  std::vector<int> ThreadRefs; ///< rf references per thread (twin sleeps)
+};
 
 //===----------------------------------------------------------------------===//
-// JavaScript entry points
+// The driver: work items, sequential walks and sharded enumeration
 //===----------------------------------------------------------------------===//
 
-bool ExecutionEngine::forEachCandidate(
-    const Program &P,
-    const std::function<bool(const CandidateExecution &, const Outcome &)>
-        &Visit) const {
-  checkFixedCapacity(P);
-  return walkJs<Relation>(P, /*Prune=*/nullptr, /*PrunedSubtrees=*/nullptr,
-                          Visit);
-}
+/// One program's candidate space under one set of knobs: \p M (the model
+/// that judges complete candidates, and prunes partial ones when
+/// \p Prune), \p Sym (equivalence-aware reduction when non-null: canonical
+/// path combinations plus rf sleep sets; needs \p M, whose spec the
+/// JavaScript sleep keys read) and \p SV (value-aware static pruning when
+/// non-null).
+template <typename L> class Driver {
+  using Model = typename L::Model;
+  using Exec = typename L::Exec;
+  using Result = typename L::Result;
 
-bool ExecutionEngine::forEachAdmittedCandidate(
-    const Program &P, const JsModel &M,
-    const std::function<bool(const CandidateExecution &, const Outcome &)>
-        &Visit) const {
-  checkFixedCapacity(P);
-  EngineStats Local;
-  bool Completed = walkJs<Relation>(P, Cfg.Prune ? &M : nullptr,
-                                    &Local.PrunedSubtrees, Visit);
-  Stats = Local;
-  return Completed;
-}
+public:
+  explicit Driver(const typename L::Prog &P, const Model *M = nullptr,
+                  bool Prune = false, const ThreadSymmetry *Sym = nullptr,
+                  const analysis::StaticValues *SV = nullptr)
+      : P(P), Space(L::paths(P)), M(M), PruneM(Prune ? M : nullptr),
+        Sym(Sym), SV(SV) {
+    if (SV)
+      for (const std::vector<typename L::Path> &Paths : Space.PerThread) {
+        Feasible.emplace_back();
+        for (const typename L::Path &Path : Paths)
+          Feasible.back().push_back(L::pathFeasible(*SV, Path) ? 1 : 0);
+      }
+  }
 
-EnumerationResult ExecutionEngine::enumerate(const Program &P,
-                                             const JsModel &M) const {
-  checkFixedCapacity(P);
-  EngineStats Local;
-  EnumerationResult R =
-      enumerateJsCore<Relation>(P, M, Cfg, effectiveThreads(), Local);
-  Stats = Local;
-  return R;
-}
+  /// Invokes \p Fn on each canonical, feasible path combination's prepared
+  /// base, in combination order; \p Fn returns false to stop. Infeasible
+  /// combinations are counted into \p Stats here, on the calling thread,
+  /// so the counter is deterministic across Threads.
+  template <typename FnT> bool forEachBase(EngineStats &Stats, FnT &&Fn) const {
+    for (size_t C = 0; C < Space.Combos; ++C) {
+      std::vector<size_t> Idx = Space.indices(C);
+      if (Sym && !canonical(Idx))
+        continue;
+      if (SV && !feasible(Idx)) {
+        ++Stats.StaticPathsPruned;
+        continue;
+      }
+      Prepared<L> Pre;
+      Pre.B = L::build(P, Space.chosen(Idx));
+      if (SV)
+        Pre.Allow = L::staticAllow(*SV, Pre.B);
+      if (Sym) {
+        Pre.Explore = L::sleepKeys(Pre.B, *M);
+        setupTwins(Pre, Idx);
+      }
+      if (!Fn(std::move(Pre)))
+        return false;
+    }
+    return true;
+  }
 
-namespace {
+  /// Sequential walk of the whole space in deterministic order; \p Visit
+  /// returns false to stop. \returns false if stopped.
+  template <typename VisitF> bool walk(EngineStats &Stats, VisitF &&Visit) const {
+    return forEachBase(Stats, [&](Prepared<L> &&Pre) {
+      return Walker<L, std::remove_reference_t<VisitF>>(Pre.B, Pre, PruneM,
+                                                        -1, Stats, Visit)
+          .run();
+    });
+  }
 
-/// Emits the tier-select trace event for an enumerateOutcomes door.
-void traceTierSelect(const char *Entry, unsigned Events, const char *Tier,
-                     SolverKind Solver) {
-  obs::TraceSink *T = obs::trace();
-  if (!T)
-    return;
-  JsonValue F = JsonValue::object();
-  F.set("entry", JsonValue(Entry));
-  F.set("events", JsonValue(static_cast<double>(Events)));
-  F.set("tier", JsonValue(Tier));
-  F.set("solver", JsonValue(solverKindName(Solver)));
-  T->event("tier-select", std::move(F));
-}
+  /// Enumerates the outcomes the model allows, each with one witness, on
+  /// \p Threads workers. Sequential runs deduplicate outcomes globally.
+  /// Sharded runs split the combinations — and, within each, the first
+  /// read's writer choices — into work items with item-local results,
+  /// merged in item order for determinism; slept first-writer items simply
+  /// produce nothing, since the sleep rules are a function of the
+  /// justification stack alone.
+  Result enumerate(unsigned Threads, EngineStats &Stats) const {
+    auto Accept = [this](Result &Into, const Exec &X, const Outcome &O) {
+      ++Into.CandidatesConsidered;
+      if (Into.Allowed.count(O))
+        return true; // outcome already witnessed
+      if (std::optional<Exec> Witness = L::witness(*M, X)) {
+        ++(Into.*L::Valid);
+        Into.Allowed.emplace(O, std::move(*Witness));
+      }
+      return true;
+    };
+    if (Threads <= 1) {
+      Result R;
+      Stats.WorkItems = Space.Combos;
+      walk(Stats,
+           [&](const Exec &X, const Outcome &O) { return Accept(R, X, O); });
+      return R;
+    }
 
-/// Emits the drf-fastpath trace event: the static certificate served this
-/// enumeration with the SC interleaving table.
-void traceDrfFastPath(const char *Entry, unsigned Events, uint64_t States,
-                      size_t Outcomes) {
-  obs::TraceSink *T = obs::trace();
-  if (!T)
-    return;
-  JsonValue F = JsonValue::object();
-  F.set("entry", JsonValue(Entry));
-  F.set("events", JsonValue(static_cast<double>(Events)));
-  F.set("states", JsonValue(static_cast<double>(States)));
-  F.set("outcomes", JsonValue(static_cast<double>(Outcomes)));
-  T->event("drf-fastpath", std::move(F));
-}
+    std::vector<Prepared<L>> Bases;
+    std::vector<std::pair<size_t, int>> Items; ///< (base, first writer)
+    forEachBase(Stats, [&](Prepared<L> &&Pre) {
+      const typename L::Base &B = Pre.B;
+      if (B.Reads.empty()) {
+        Items.push_back({Bases.size(), -1});
+      } else {
+        const auto &R0 = B.X.Events[B.Reads[0]];
+        unsigned Loc = L::readBegin(R0);
+        int K = 0;
+        for (const auto &W : B.X.Events)
+          if (L::eligible(W, R0, Loc))
+            Items.push_back({Bases.size(), K++});
+      }
+      Bases.push_back(std::move(Pre));
+      return true;
+    });
+    Stats.WorkItems = Items.size();
 
-/// Emits the static-prune trace event: how much the value-aware static
-/// tier cut from this full enumeration (rf writer choices skipped and
-/// path combinations dropped).
-void traceStaticPrune(const char *Entry, uint64_t RfPruned,
-                      uint64_t PathsPruned, uint64_t MayRfExcluded) {
-  obs::TraceSink *T = obs::trace();
-  if (!T)
-    return;
-  JsonValue F = JsonValue::object();
-  F.set("entry", JsonValue(Entry));
-  F.set("rf_pruned", JsonValue(static_cast<double>(RfPruned)));
-  F.set("paths_pruned", JsonValue(static_cast<double>(PathsPruned)));
-  F.set("may_rf_excluded", JsonValue(static_cast<double>(MayRfExcluded)));
-  T->event("static-prune", std::move(F));
-}
+    std::vector<Result> PerItem(Items.size());
+    std::vector<EngineStats> PerItemStats(Items.size());
+    runSharded(Items.size(), Threads, [&](size_t I) {
+      const Prepared<L> &Pre = Bases[Items[I].first];
+      typename L::Base B = Pre.B; // worker-private copy (the walk mutates it)
+      auto Into = [&](const Exec &X, const Outcome &O) {
+        return Accept(PerItem[I], X, O);
+      };
+      Walker<L, decltype(Into)>(B, Pre, PruneM, Items[I].second,
+                                PerItemStats[I], Into)
+          .run();
+    });
 
-/// The static DRF-SC fast path shared by both enumerateOutcomes doors:
-/// when the precomputed classification certifies DRF, answer with the SC
-/// interleaving table under Tier "static". \returns std::nullopt for
-/// programs the certificate does not cover (the caller runs the full
-/// enumeration, with the same analysis pruning it).
+    Result R;
+    for (size_t I = 0; I < Items.size(); ++I) {
+      R.CandidatesConsidered += PerItem[I].CandidatesConsidered;
+      R.*L::Valid += PerItem[I].*L::Valid;
+      Stats.PrunedSubtrees += PerItemStats[I].PrunedSubtrees;
+      Stats.SleptBranches += PerItemStats[I].SleptBranches;
+      Stats.StaticRfPruned += PerItemStats[I].StaticRfPruned;
+      for (auto &[O, Witness] : PerItem[I].Allowed)
+        R.Allowed.emplace(O, std::move(Witness));
+    }
+    return R;
+  }
+
+private:
+  /// \returns true if the combination \p Idx is the canonical
+  /// representative of its orbit under the symmetry classes: within each
+  /// class, path indices must be non-decreasing by thread index. Skipped
+  /// combinations are thread permutations of a canonical one; the orbit
+  /// closure of the outcome set restores their outcomes.
+  bool canonical(const std::vector<size_t> &Idx) const {
+    for (const std::vector<unsigned> &Cls : Sym->Classes)
+      for (size_t K = 1; K < Cls.size(); ++K)
+        if (Idx[Cls[K - 1]] > Idx[Cls[K]])
+          return false;
+    return true;
+  }
+
+  bool feasible(const std::vector<size_t> &Idx) const {
+    for (size_t T = 0; T < Idx.size(); ++T)
+      if (!Feasible[T][Idx[T]])
+        return false;
+    return true;
+  }
+
+  void setupTwins(Prepared<L> &Pre, const std::vector<size_t> &Idx) const {
+    if (Sym->empty())
+      return;
+    const auto &Events = Pre.B.X.Events;
+    Pre.TwinPrev.assign(Events.size(), -1);
+    Pre.TwinThreadOf.assign(Events.size(), -1);
+    std::vector<std::vector<EventId>> ThreadEvents(Pre.B.Paths.size());
+    for (const auto &E : Events)
+      if (E.Thread >= 0)
+        ThreadEvents[E.Thread].push_back(E.Id);
+    for (size_t Ci = 0; Ci < Sym->Classes.size(); ++Ci) {
+      if (!Sym->Exact[Ci])
+        continue;
+      const std::vector<unsigned> &Cls = Sym->Classes[Ci];
+      for (size_t K = 1; K < Cls.size(); ++K) {
+        unsigned T1 = Cls[K - 1], T2 = Cls[K];
+        if (Idx[T1] != Idx[T2])
+          continue; // different paths: no positional twin pairing
+        assert(ThreadEvents[T1].size() == ThreadEvents[T2].size());
+        for (size_t I = 0; I < ThreadEvents[T2].size(); ++I) {
+          Pre.TwinPrev[ThreadEvents[T2][I]] =
+              static_cast<int>(ThreadEvents[T1][I]);
+          Pre.TwinThreadOf[ThreadEvents[T2][I]] = static_cast<int>(T1);
+        }
+      }
+    }
+  }
+
+  const typename L::Prog &P;
+  PathSpace<typename L::Path> Space;
+  const Model *M;
+  const Model *PruneM; ///< M when pruning, else null
+  const ThreadSymmetry *Sym;
+  const analysis::StaticValues *SV;
+  std::vector<std::vector<uint8_t>> Feasible; ///< [thread][path] (SV only)
+};
+
+//===----------------------------------------------------------------------===//
+// Outcome-level doors: tracing, the static fast path, tier selection
+//===----------------------------------------------------------------------===//
+
+/// The static DRF-SC fast path: when the precomputed classification
+/// certifies DRF, answer with the SC interleaving table under Tier
+/// "static". \returns std::nullopt for programs the certificate does not
+/// cover (the caller runs the full enumeration, with the same analysis
+/// pruning it).
 template <typename ProgT>
 std::optional<OutcomeSummary>
 tryStaticFastPath(const ProgT &P, const analysis::StaticClassification &C,
@@ -1555,7 +1216,14 @@ tryStaticFastPath(const ProgT &P, const analysis::StaticClassification &C,
   S.ValidCandidates = S.Allowed.size();
   S.Tier = "static";
   S.SolverUsed = Kind;
-  traceDrfFastPath(Entry, Events, States, S.Allowed.size());
+  // The drf-fastpath event: the static certificate served this
+  // enumeration with the SC interleaving table.
+  if (obs::TraceSink *T = obs::trace())
+    traceEvent(*T, "drf-fastpath",
+               {{"entry", Entry},
+                {"events", num(Events)},
+                {"states", num(States)},
+                {"outcomes", num(S.Allowed.size())}});
   if (obs::metricsEnabled())
     obs::registry().counter("engine.drf_fastpath").add(1);
   return S;
@@ -1581,11 +1249,26 @@ void recordEngineObs(const EngineStats &St, uint64_t CandidatesConsidered,
     R.counter("engine.tier." + Tier).add(1);
 }
 
-} // namespace
+template <typename L>
+OutcomeSummary summarize(const typename L::Result &R) {
+  OutcomeSummary S;
+  S.CandidatesConsidered = R.CandidatesConsidered;
+  S.ValidCandidates = R.*L::Valid;
+  S.Allowed.reserve(R.Allowed.size());
+  for (const auto &Entry : R.Allowed)
+    S.Allowed.push_back(Entry.first);
+  return S;
+}
 
-OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
-                                                  const JsModel &M) const {
-  checkCapacity(P);
+/// The body both enumerateOutcomes doors share: static fast path, SAT
+/// rerouting (JavaScript only: target consistency needs no tot solver),
+/// relation-tier selection, the walk with optional reduction and its
+/// outcome orbit closure, then stats, trace and obs.
+template <template <typename> class Lang, typename ProgT, typename ModelT>
+OutcomeSummary enumerateOutcomesOf(const ExecutionEngine &E, const ProgT &P,
+                                   const ModelT &M, const char *Entry,
+                                   unsigned Events, SolverKind Kind) {
+  const EngineConfig &Cfg = E.config();
   std::optional<analysis::StaticValues> SV;
   if (Cfg.StaticFastPath) {
     // The fast path sits after the capacity gate (too-large programs keep
@@ -1593,86 +1276,126 @@ OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
     // runs on a statically-DRF program). When the DRF certificate does
     // not hold, the same analysis prunes the full walk below.
     SV.emplace(analysis::analyzeValues(P));
-    SolverKind Kind = M.solver().Kind.value_or(defaultSolverKind());
-    if (std::optional<OutcomeSummary> S = tryStaticFastPath(
-            P, SV->C, "js", programEventUpperBound(P), Kind)) {
-      Stats = EngineStats();
-      recordEngineObs(Stats, S->CandidatesConsidered, S->ValidCandidates,
+    if (std::optional<OutcomeSummary> S =
+            tryStaticFastPath(P, SV->C, Entry, Events, Kind)) {
+      E.Stats = EngineStats();
+      recordEngineObs(E.Stats, S->CandidatesConsidered, S->ValidCandidates,
                       S->Tier);
       return *S;
     }
   }
-  // Tier selection for the tot decider: past Cfg.SatThreshold events the
-  // order-search solvers give way to the SAT/CDCL tier. Only the solver
-  // changes — the spec, and therefore the verdict table, is the model's.
-  SolverKind Kind = M.solver().Kind.value_or(defaultSolverKind());
-  if (programEventUpperBound(P) > Cfg.SatThreshold &&
-      Kind != SolverKind::Sat) {
-    if (obs::TraceSink *T = obs::trace()) {
-      JsonValue F = JsonValue::object();
-      F.set("entry", JsonValue("js"));
-      F.set("events",
-            JsonValue(static_cast<double>(programEventUpperBound(P))));
-      F.set("from", JsonValue(solverKindName(Kind)));
-      F.set("to", JsonValue(solverKindName(SolverKind::Sat)));
-      T->event("solver-dispatch", std::move(F));
+  if constexpr (std::is_same_v<ModelT, JsModel>) {
+    // Tier selection for the tot decider: past Cfg.SatThreshold events the
+    // order-search solvers give way to the SAT/CDCL tier. Only the solver
+    // changes — the spec, and therefore the verdict table, is the model's.
+    if (Events > Cfg.SatThreshold && Kind != SolverKind::Sat) {
+      if (obs::TraceSink *T = obs::trace())
+        traceEvent(*T, "solver-dispatch",
+                   {{"entry", Entry},
+                    {"events", num(Events)},
+                    {"from", solverKindName(Kind)},
+                    {"to", solverKindName(SolverKind::Sat)}});
+      if (obs::metricsEnabled())
+        obs::registry().counter("engine.sat_reroutes").add(1);
+      return E.enumerateOutcomes(P, JsModel(M.spec(), SolverConfig::sat()));
     }
-    if (obs::metricsEnabled())
-      obs::registry().counter("engine.sat_reroutes").add(1);
-    JsModel SatModel(M.spec(), SolverConfig::sat());
-    return enumerateOutcomes(P, SatModel);
   }
-  bool SmallTier =
-      programEventUpperBound(P) <= Relation::MaxSize && !Cfg.ForceDynRelation;
+  bool SmallTier = Events <= Relation::MaxSize && !Cfg.ForceDynRelation;
   const char *Tier = SmallTier ? "inline" : "dyn";
-  traceTierSelect("js", programEventUpperBound(P), Tier, Kind);
+  if (obs::TraceSink *T = obs::trace())
+    traceEvent(*T, "tier-select",
+               {{"entry", Entry},
+                {"events", num(Events)},
+                {"tier", Tier},
+                {"solver", solverKindName(Kind)}});
   obs::PhaseTimer Phase("engine.phase.enumerate_us");
-  EngineStats Local;
-  const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
-  if (!Cfg.Reduction) {
-    OutcomeSummary S =
-        SmallTier ? summarize(enumerateJsCore<Relation>(
-                        P, M, Cfg, effectiveThreads(), Local, nullptr, SVP))
-                  : summarize(enumerateJsCore<DynRelation>(
-                        P, M, Cfg, effectiveThreads(), Local, nullptr, SVP));
-    Stats = Local;
-    S.Tier = Tier;
-    S.SolverUsed = Kind;
-    if (SVP)
-      traceStaticPrune("js", Local.StaticRfPruned, Local.StaticPathsPruned,
-                       SV->MayRfExcluded);
-    recordEngineObs(Local, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
-    return S;
-  }
-  // Equivalence-aware enumeration: canonical path combinations, rf sleep
-  // sets inside the justifier, and the outcome orbit closure to restore
+  // Equivalence-aware enumeration: canonical path combinations and rf
+  // sleep sets inside the walker, then the outcome orbit closure restores
   // the outcomes of the slept (isomorphic) subtrees.
-  JsReductionCtx Red{threadSymmetry(P), M.spec()};
+  std::optional<ThreadSymmetry> Sym;
+  if (Cfg.Reduction)
+    Sym.emplace(threadSymmetry(P));
+  const ThreadSymmetry *SymP = Sym ? &*Sym : nullptr;
+  const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
+  unsigned Threads = E.effectiveThreads();
+  EngineStats Local;
   OutcomeSummary S =
-      SmallTier ? summarize(enumerateJsCore<Relation>(
-                      P, M, Cfg, effectiveThreads(), Local, &Red, SVP))
-                : summarize(enumerateJsCore<DynRelation>(
-                      P, M, Cfg, effectiveThreads(), Local, &Red, SVP));
-  if (!Red.Sym.empty())
-    S.Allowed = closeOutcomes(std::move(S.Allowed), Red.Sym);
-  Stats = Local;
+      SmallTier ? summarize<Lang<Relation>>(
+                      Driver<Lang<Relation>>(P, &M, Cfg.Prune, SymP, SVP)
+                          .enumerate(Threads, Local))
+                : summarize<Lang<DynRelation>>(
+                      Driver<Lang<DynRelation>>(P, &M, Cfg.Prune, SymP, SVP)
+                          .enumerate(Threads, Local));
+  if (Sym && !Sym->empty())
+    S.Allowed = closeOutcomes(std::move(S.Allowed), *Sym);
+  E.Stats = Local;
   S.Tier = Tier;
   S.SolverUsed = Kind;
-  if (SVP)
-    traceStaticPrune("js", Local.StaticRfPruned, Local.StaticPathsPruned,
-                     SV->MayRfExcluded);
+  // How much the value-aware static tier cut from this full enumeration
+  // (rf writer choices skipped and path combinations dropped).
+  if (obs::TraceSink *T = obs::trace(); T && SV)
+    traceEvent(*T, "static-prune",
+               {{"entry", Entry},
+                {"rf_pruned", num(Local.StaticRfPruned)},
+                {"paths_pruned", num(Local.StaticPathsPruned)},
+                {"may_rf_excluded", num(SV->MayRfExcluded)}});
   recordEngineObs(Local, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
   return S;
+}
+
+using JsFixed = JsLang<Relation>;
+using TargetFixed = TargetLang<Relation>;
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// JavaScript entry points
+//===----------------------------------------------------------------------===//
+
+bool ExecutionEngine::forEachCandidate(
+    const Program &P,
+    const std::function<bool(const CandidateExecution &, const Outcome &)>
+        &Visit) const {
+  checkFixedCapacity(P);
+  EngineStats Unpublished;
+  return Driver<JsFixed>(P).walk(Unpublished, Visit);
+}
+
+bool ExecutionEngine::forEachAdmittedCandidate(
+    const Program &P, const JsModel &M,
+    const std::function<bool(const CandidateExecution &, const Outcome &)>
+        &Visit) const {
+  checkFixedCapacity(P);
+  EngineStats Local;
+  bool Completed = Driver<JsFixed>(P, &M, Cfg.Prune).walk(Local, Visit);
+  Stats = Local;
+  return Completed;
+}
+
+EnumerationResult ExecutionEngine::enumerate(const Program &P,
+                                             const JsModel &M) const {
+  checkFixedCapacity(P);
+  EngineStats Local;
+  EnumerationResult R =
+      Driver<JsFixed>(P, &M, Cfg.Prune).enumerate(effectiveThreads(), Local);
+  Stats = Local;
+  return R;
+}
+
+OutcomeSummary ExecutionEngine::enumerateOutcomes(const Program &P,
+                                                  const JsModel &M) const {
+  checkCapacity(P);
+  return enumerateOutcomesOf<JsLang>(
+      *this, P, M, "js", programEventUpperBound(P),
+      M.solver().Kind.value_or(defaultSolverKind()));
 }
 
 ScDrfReport ExecutionEngine::scDrf(const Program &P, const JsModel &M) const {
   checkFixedCapacity(P);
   EngineStats Local;
   ScDrfReport Report;
-  walkJs<Relation>(
-      P, Cfg.Prune ? &M : nullptr, &Local.PrunedSubtrees,
-      [&](const CandidateExecution &CE, const Outcome &O) {
-        (void)O;
+  Driver<JsFixed>(P, &M, Cfg.Prune)
+      .walk(Local, [&](const CandidateExecution &CE, const Outcome &) {
         if (!M.allows(CE))
           return true;
         if (Report.DataRaceFree && !isRaceFree(CE, M.spec())) {
@@ -1698,97 +1421,34 @@ bool ExecutionEngine::forEachSkeleton(
     const ArmProgram &P,
     const std::function<bool(const ArmSkeleton &)> &Visit) const {
   checkCapacity(P);
-  ArmSpace Space(P);
-  for (size_t C = 0; C < Space.Combos; ++C)
-    if (!Visit(buildArmSkeleton(P, Space.chosen(C))))
-      return false;
-  return true;
+  EngineStats Unpublished;
+  return Driver<ArmLang>(P).forEachBase(
+      Unpublished, [&](Prepared<ArmLang> &&Pre) {
+        return Visit(ArmSkeleton{std::move(Pre.B.X),
+                                 std::move(Pre.B.RegOfEvent),
+                                 std::move(Pre.B.Paths)});
+      });
 }
 
 bool ExecutionEngine::forEachArmCandidate(
     const ArmProgram &P,
     const std::function<bool(const ArmExecution &, const Outcome &)> &Visit)
     const {
-  return forEachSkeleton(P, [&](const ArmSkeleton &S) {
-    ArmJustifier J(S, /*FirstWriterOnly=*/-1, Visit);
-    return J.run();
-  });
+  checkCapacity(P);
+  EngineStats Unpublished;
+  return Driver<ArmLang>(P).walk(Unpublished, Visit);
 }
 
 ArmEnumerationResult ExecutionEngine::enumerate(const ArmProgram &P,
                                                 const Armv8Model &M) const {
   checkCapacity(P);
   EngineStats Local;
-  unsigned Threads = effectiveThreads();
-  ArmSpace Space(P);
-
-  auto Accumulate = [&M](ArmEnumerationResult &Into, const ArmExecution &X,
-                         const Outcome &O) {
-    ++Into.CandidatesConsidered;
-    if (Into.Allowed.count(O))
-      return true;
-    if (M.allows(X)) {
-      ++Into.ConsistentCandidates;
-      Into.Allowed.emplace(O, X);
-    }
-    return true;
-  };
-
-  if (Threads <= 1) {
-    ArmEnumerationResult Result;
-    Local.WorkItems = Space.Combos;
-    forEachArmCandidate(P, [&](const ArmExecution &X, const Outcome &O) {
-      return Accumulate(Result, X, O);
-    });
-    Stats = Local;
-    recordEngineObs(Local, Result.CandidatesConsidered,
-                    Result.ConsistentCandidates, "inline");
-    return Result;
-  }
-
-  std::vector<WorkItem> Items;
-  std::vector<ArmSkeleton> Skeletons;
-  for (size_t C = 0; C < Space.Combos; ++C) {
-    Skeletons.push_back(buildArmSkeleton(P, Space.chosen(C)));
-    const ArmSkeleton &S = Skeletons.back();
-    EventId FirstRead = ~0u;
-    for (const ArmEvent &E : S.Exec.Events)
-      if (E.isRead()) {
-        FirstRead = E.Id;
-        break;
-      }
-    if (FirstRead == ~0u) {
-      Items.push_back({C, -1});
-      continue;
-    }
-    unsigned NW = countArmWriters(S.Exec, FirstRead,
-                                  S.Exec.Events[FirstRead].begin());
-    for (unsigned K = 0; K < NW; ++K)
-      Items.push_back({C, static_cast<int>(K)});
-  }
-  Local.WorkItems = Items.size();
-
-  std::vector<ArmEnumerationResult> PerItem(Items.size());
-  runSharded(Items.size(), Threads, [&](size_t I) {
-    std::function<bool(const ArmExecution &, const Outcome &)> Into =
-        [&](const ArmExecution &X, const Outcome &O) {
-          return Accumulate(PerItem[I], X, O);
-        };
-    ArmJustifier J(Skeletons[Items[I].Combo], Items[I].Writer, Into);
-    J.run();
-  });
-
-  ArmEnumerationResult Result;
-  for (size_t I = 0; I < Items.size(); ++I) {
-    Result.CandidatesConsidered += PerItem[I].CandidatesConsidered;
-    Result.ConsistentCandidates += PerItem[I].ConsistentCandidates;
-    for (auto &[O, Witness] : PerItem[I].Allowed)
-      Result.Allowed.emplace(O, std::move(Witness));
-  }
+  ArmEnumerationResult R =
+      Driver<ArmLang>(P, &M).enumerate(effectiveThreads(), Local);
   Stats = Local;
-  recordEngineObs(Local, Result.CandidatesConsidered,
-                  Result.ConsistentCandidates, "inline");
-  return Result;
+  recordEngineObs(Local, R.CandidatesConsidered, R.ConsistentCandidates,
+                  "inline");
+  return R;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1800,26 +1460,8 @@ bool ExecutionEngine::forEachTargetCandidate(
     const std::function<bool(const TargetExecution &, const Outcome &)>
         &Visit) const {
   checkFixedCapacity(CT);
-  TargetBase<Relation> B = buildTargetBase<Relation>(CT);
-  TargetJustifier<Relation> J(B, /*Prune=*/nullptr,
-                              /*PrunedSubtrees=*/nullptr,
-                              /*FirstWriterOnly=*/-1, Visit);
-  return J.run();
-}
-
-bool ExecutionEngine::forEachAdmittedTargetCandidate(
-    const CompiledTarget &CT, const TargetModel &M,
-    const std::function<bool(const TargetExecution &, const Outcome &)>
-        &Visit) const {
-  checkFixedCapacity(CT);
-  EngineStats Local;
-  TargetBase<Relation> B = buildTargetBase<Relation>(CT);
-  TargetJustifier<Relation> J(B, Cfg.Prune ? &M : nullptr,
-                              &Local.PrunedSubtrees,
-                              /*FirstWriterOnly=*/-1, Visit);
-  bool Completed = J.run();
-  Stats = Local;
-  return Completed;
+  EngineStats Unpublished;
+  return Driver<TargetFixed>(CT).walk(Unpublished, Visit);
 }
 
 TargetEnumerationResult
@@ -1827,8 +1469,8 @@ ExecutionEngine::enumerate(const CompiledTarget &CT,
                            const TargetModel &M) const {
   checkFixedCapacity(CT);
   EngineStats Local;
-  TargetEnumerationResult R =
-      enumerateTargetCore<Relation>(CT, M, Cfg, effectiveThreads(), Local);
+  TargetEnumerationResult R = Driver<TargetFixed>(CT, &M, Cfg.Prune)
+                                  .enumerate(effectiveThreads(), Local);
   Stats = Local;
   return R;
 }
@@ -1836,57 +1478,9 @@ ExecutionEngine::enumerate(const CompiledTarget &CT,
 OutcomeSummary ExecutionEngine::enumerateOutcomes(const CompiledTarget &CT,
                                                   const TargetModel &M) const {
   checkCapacity(CT);
-  std::optional<analysis::StaticValues> SV;
-  if (Cfg.StaticFastPath) {
-    SV.emplace(analysis::analyzeValues(CT));
-    if (std::optional<OutcomeSummary> S = tryStaticFastPath(
-            CT, SV->C, "target", targetEventBound(CT), defaultSolverKind())) {
-      Stats = EngineStats();
-      recordEngineObs(Stats, S->CandidatesConsidered, S->ValidCandidates,
-                      S->Tier);
-      return *S;
-    }
-  }
-  const analysis::StaticValues *SVP = SV ? &*SV : nullptr;
-  bool SmallTier =
-      targetEventBound(CT) <= Relation::MaxSize && !Cfg.ForceDynRelation;
-  const char *Tier = SmallTier ? "inline" : "dyn";
-  SolverKind Kind = defaultSolverKind();
-  traceTierSelect("target", targetEventBound(CT), Tier, Kind);
-  obs::PhaseTimer Phase("engine.phase.enumerate_us");
-  EngineStats Local;
-  if (!Cfg.Reduction) {
-    OutcomeSummary S =
-        SmallTier
-            ? summarizeTarget(enumerateTargetCore<Relation>(
-                  CT, M, Cfg, effectiveThreads(), Local, nullptr, SVP))
-            : summarizeTarget(enumerateTargetCore<DynRelation>(
-                  CT, M, Cfg, effectiveThreads(), Local, nullptr, SVP));
-    Stats = Local;
-    S.Tier = Tier;
-    S.SolverUsed = Kind;
-    if (SVP)
-      traceStaticPrune("target", Local.StaticRfPruned,
-                       Local.StaticPathsPruned, SV->MayRfExcluded);
-    recordEngineObs(Local, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
-    return S;
-  }
-  ThreadSymmetry Sym = threadSymmetry(CT);
-  OutcomeSummary S =
-      SmallTier ? summarizeTarget(enumerateTargetCore<Relation>(
-                      CT, M, Cfg, effectiveThreads(), Local, &Sym, SVP))
-                : summarizeTarget(enumerateTargetCore<DynRelation>(
-                      CT, M, Cfg, effectiveThreads(), Local, &Sym, SVP));
-  if (!Sym.empty())
-    S.Allowed = closeOutcomes(std::move(S.Allowed), Sym);
-  Stats = Local;
-  S.Tier = Tier;
-  S.SolverUsed = Kind;
-  if (SVP)
-    traceStaticPrune("target", Local.StaticRfPruned, Local.StaticPathsPruned,
-                     SV->MayRfExcluded);
-  recordEngineObs(Local, S.CandidatesConsidered, S.ValidCandidates, S.Tier);
-  return S;
+  return enumerateOutcomesOf<TargetLang>(*this, CT, M, "target",
+                                         targetEventBound(CT),
+                                         defaultSolverKind());
 }
 
 //===----------------------------------------------------------------------===//

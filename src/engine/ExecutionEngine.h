@@ -3,28 +3,31 @@
 /// \file
 /// The single pluggable enumeration core behind every frontend. All of the
 /// paper's results reduce to the same computational kernel — enumerate
-/// candidate executions, derive relations, check axioms — which the seed
-/// implemented three times with divergent generate-then-filter loops. The
-/// engine owns that kernel once:
+/// candidate executions, derive relations, check axioms — and every event
+/// language the paper studies (JavaScript, the Thm 6.3 targets, mixed-size
+/// ARMv8) has the same candidate shape: a control-flow path per thread
+/// plus a reads-byte-from edge per read byte (plus coherence orders on the
+/// hardware side). ExecutionEngine.cpp implements that kernel once:
 ///
-///   - the candidate space: control-flow paths × reads-byte-from
-///     justifications (× coherence orders on the ARMv8 side), enumerated
-///     by one sharded recursive builder for both the JavaScript and ARMv8
-///     event languages;
-///   - incremental pruning: JsModel's tot-independent axioms are checked
-///     on partial candidates the moment each read's justification
-///     completes, cutting whole subtrees before the expensive
-///     linear-extension search (derived relations are memoized on the
-///     CandidateExecution, so the partial checks share closures);
-///   - sharded multi-threaded enumeration: the path × first-justification
-///     space is split into work items executed by a small thread pool;
-///     per-item results are merged in item order, so the outcome of an
-///     enumeration is deterministic regardless of scheduling.
+///   - one justification walker, templated over a per-language traits
+///     struct that supplies the eligible writers of a read byte, binding
+///     one rbf/rf edge, the check when a read completes (register
+///     constraints and the language's admission-prune placement) and the
+///     completion step (coherence orders where the language has them);
+///   - incremental pruning: the model's tot-independent axioms are checked
+///     on partial candidates as reads complete, cutting whole subtrees
+///     before the expensive consistency search (derived relations are
+///     memoized on the execution, so the partial checks share closures);
+///   - one sharded driver: the path × first-writer space is split into
+///     work items executed by a small thread pool; per-item results are
+///     merged in item order, so the outcome of an enumeration is
+///     deterministic regardless of scheduling.
 ///
-/// Frontends are thin adapters: exec/Enumerator, armv8/ArmEnumerator,
-/// search/SkeletonSearch, flatsim/FlatSim and unisize/Reduction all route
-/// through this class, and new backends plug in as MemoryModel
-/// implementations.
+/// Every enumeration entry point below (all but the forEachTwinJustification
+/// search helper) is a short adapter over the driver. Frontends
+/// (exec/Enumerator, armv8/ArmEnumerator, search/SkeletonSearch,
+/// flatsim/FlatSim, unisize/Reduction) route through this class, and new
+/// backends plug in as MemoryModel implementations.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -274,13 +277,6 @@ public:
   /// early; \returns false if stopped.
   bool forEachTargetCandidate(
       const CompiledTarget &CT,
-      const std::function<bool(const TargetExecution &, const Outcome &)>
-          &Visit) const;
-
-  /// As forEachTargetCandidate, but prunes rf subtrees \p M cannot admit
-  /// (every visited candidate is still complete and well-formed).
-  bool forEachAdmittedTargetCandidate(
-      const CompiledTarget &CT, const TargetModel &M,
       const std::function<bool(const TargetExecution &, const Outcome &)>
           &Visit) const;
 

@@ -49,8 +49,8 @@ uint64_t LatencyHistogram::percentileMicros(double P) const {
   if (Rank > N)
     Rank = N;
   // The bucket's upper bound, clamped to the largest sample seen: the
-  // bound alone overstates the top bucket (one 237 us job used to report
-  // p50 256 us against max 237 us).
+  // bound alone can exceed every sample (a lone 237 us sample sits in the
+  // (128, 256] bucket).
   uint64_t Cumulative = 0;
   for (unsigned B = 0; B < NumBuckets; ++B) {
     Cumulative += Buckets[B].load(std::memory_order_relaxed);

@@ -77,9 +77,10 @@ bool isTargetConsistent(const BasicTargetExecution<RelT> &X, TargetArch Arch);
 
 /// Enumerates every well-formed execution of the compiled program (rf and
 /// per-location coherence chosen; consistency not yet checked). Thin
-/// adapter over ExecutionEngine::forEachTargetCandidate; construct an
-/// ExecutionEngine with a TargetModel backend directly for sharded and
-/// pruned enumeration.
+/// adapter over ExecutionEngine::forEachTargetCandidate, which walks the
+/// complete, unpruned space; ExecutionEngine::enumerate and
+/// enumerateOutcomes with a TargetModel backend give the sharded, pruned
+/// outcome enumeration.
 bool forEachTargetExecution(
     const CompiledTarget &CT,
     const std::function<bool(const TargetExecution &, const Outcome &)>
