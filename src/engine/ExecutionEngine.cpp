@@ -23,11 +23,39 @@
 
 using namespace jsmm;
 
-unsigned ExecutionEngine::effectiveThreads() const {
-  if (Cfg.Threads)
-    return Cfg.Threads;
+unsigned jsmm::resolveThreads(unsigned Requested) {
+  if (Requested)
+    return Requested;
   unsigned HW = std::thread::hardware_concurrency();
   return HW ? HW : 1;
+}
+
+unsigned ExecutionEngine::effectiveThreads() const {
+  return resolveThreads(Cfg.Threads);
+}
+
+void jsmm::runSharded(size_t NumItems, unsigned Threads,
+                      const std::function<void(size_t)> &Body) {
+  if (Threads <= 1 || NumItems <= 1) {
+    for (size_t I = 0; I < NumItems; ++I)
+      Body(I);
+    return;
+  }
+  std::atomic<size_t> Next{0};
+  // The sink's fields are atomic, so the workers may share it.
+  SolverActivitySink *ParentSink = currentSolverActivitySink();
+  auto Worker = [&, ParentSink] {
+    setCurrentSolverActivitySink(ParentSink);
+    for (size_t I = Next.fetch_add(1); I < NumItems; I = Next.fetch_add(1))
+      Body(I);
+  };
+  std::vector<std::thread> Pool;
+  unsigned N = static_cast<unsigned>(std::min<size_t>(Threads, NumItems));
+  Pool.reserve(N);
+  for (unsigned T = 0; T < N; ++T)
+    Pool.emplace_back(Worker);
+  for (std::thread &T : Pool)
+    T.join();
 }
 
 bool OutcomeSummary::allows(const Outcome &O) const {
@@ -124,36 +152,6 @@ ExecutionEngine::fixedCapacityError(const CompiledTarget &CT) {
 }
 
 namespace {
-
-/// Runs \p Body over \p NumItems items on \p Threads workers (inline when
-/// sequential). Items are claimed from an atomic counter; \p Body must
-/// only touch state owned by its item index.
-void runSharded(size_t NumItems, unsigned Threads,
-                const std::function<void(size_t)> &Body) {
-  if (Threads <= 1 || NumItems <= 1) {
-    for (size_t I = 0; I < NumItems; ++I)
-      Body(I);
-    return;
-  }
-  std::atomic<size_t> Next{0};
-  // Worker threads inherit the spawning thread's solver-activity sink so
-  // per-job attribution (the service installs one sink per job) survives
-  // the engine's own sharding; the sink's fields are atomic.
-  SolverActivitySink *ParentSink = currentSolverActivitySink();
-  auto Worker = [&, ParentSink] {
-    setCurrentSolverActivitySink(ParentSink);
-    for (size_t I = Next.fetch_add(1); I < NumItems; I = Next.fetch_add(1))
-      Body(I);
-  };
-  std::vector<std::thread> Pool;
-  unsigned N = static_cast<unsigned>(
-      std::min<size_t>(Threads, NumItems));
-  Pool.reserve(N);
-  for (unsigned T = 0; T < N; ++T)
-    Pool.emplace_back(Worker);
-  for (std::thread &T : Pool)
-    T.join();
-}
 
 //===----------------------------------------------------------------------===//
 // The candidate space, shared by every event language

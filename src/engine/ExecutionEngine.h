@@ -104,9 +104,23 @@ struct EngineConfig {
   /// regardless.
   unsigned SatThreshold = 256;
 
-  static EngineConfig sequential() { return {1, true}; }
   static EngineConfig seedCompatible() { return {1, false}; }
 };
+
+/// \returns \p Requested, or one per hardware thread (at least 1) when it
+/// is 0: the meaning of every thread knob (EngineConfig::Threads,
+/// SearchConfig::Threads, ServiceConfig::Workers).
+unsigned resolveThreads(unsigned Requested);
+
+/// The worker pool of the engine's sharded enumeration, the skeleton
+/// search passes and the service's job queue: runs \p Body(I) for every
+/// I in [0, NumItems) on up to \p Threads workers (inline when that is
+/// one). Items are claimed from an atomic counter, so \p Body must only
+/// touch state owned by its index (or atomics). Workers inherit the
+/// calling thread's solver-activity sink, so per-job attribution survives
+/// the fan-out.
+void runSharded(size_t NumItems, unsigned Threads,
+                const std::function<void(size_t)> &Body);
 
 /// Effort counters of the most recent enumeration-style call (enumerate,
 /// scDrf, forEachAdmittedCandidate) on an engine; each call resets them.

@@ -49,7 +49,6 @@ template <typename RelT> struct BasicEnumerationResult {
 };
 
 using EnumerationResult = BasicEnumerationResult<Relation>;
-using DynEnumerationResult = BasicEnumerationResult<DynRelation>;
 
 /// Enumerates the allowed outcomes of \p P under \p Spec.
 EnumerationResult enumerateOutcomes(const Program &P, ModelSpec Spec);

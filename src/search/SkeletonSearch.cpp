@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <atomic>
 #include <mutex>
-#include <thread>
 
 using namespace jsmm;
 
@@ -222,10 +221,12 @@ size_t runShardedPass(const SearchConfig &Cfg, unsigned NumEvents,
 
   std::atomic<uint64_t> Skeletons{0}, RbfCandidates{Stats ? Stats->RbfCandidates
                                                           : 0};
-  std::atomic<size_t> NextUnit{0};
   std::atomic<size_t> MinHitUnit{SIZE_MAX};
 
-  auto RunUnit = [&](size_t I) {
+  runSharded(Units.size(), Workers, [&](size_t I) {
+    if (BudgetExhausted.load(std::memory_order_relaxed) ||
+        I > MinHitUnit.load(std::memory_order_relaxed))
+      return; // out of budget, or beaten by an earlier unit: skip
     ShapeUnit &U = Units[I];
     std::vector<EventShape> Shape(NumEvents);
     std::copy(U.Prefix.begin(), U.Prefix.end(), Shape.begin());
@@ -252,31 +253,7 @@ size_t runShardedPass(const SearchConfig &Cfg, unsigned NumEvents,
           return true;
         });
     Meter.flushUnit();
-  };
-
-  auto Worker = [&] {
-    for (size_t I = NextUnit.fetch_add(1); I < Units.size();
-         I = NextUnit.fetch_add(1)) {
-      if (BudgetExhausted.load(std::memory_order_relaxed))
-        break;
-      if (I > MinHitUnit.load(std::memory_order_relaxed))
-        continue;
-      RunUnit(I);
-    }
-  };
-
-  if (Workers <= 1 || Units.size() <= 1) {
-    Worker();
-  } else {
-    std::vector<std::thread> Pool;
-    unsigned NumThreads = static_cast<unsigned>(
-        std::min<size_t>(Workers, Units.size()));
-    Pool.reserve(NumThreads);
-    for (unsigned T = 0; T < NumThreads; ++T)
-      Pool.emplace_back(Worker);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  });
 
   if (Stats) {
     Stats->Skeletons += Skeletons.load();
@@ -287,13 +264,6 @@ size_t runShardedPass(const SearchConfig &Cfg, unsigned NumEvents,
   return MinHitUnit.load();
 }
 
-unsigned searchWorkers(const SearchConfig &Cfg) {
-  if (Cfg.Threads)
-    return Cfg.Threads;
-  unsigned HW = std::thread::hardware_concurrency();
-  return HW ? HW : 1;
-}
-
 /// Runs the full (events × locations) sweep, returning the first hit of
 /// \p TryCandidate in sequential enumeration order, for any thread count.
 /// TryCandidate must be pure: it may not touch shared mutable state.
@@ -301,7 +271,7 @@ std::optional<SkeletonCex> shardedFirstHit(
     const SearchConfig &Cfg, SearchStats *Stats,
     const std::function<std::optional<SkeletonCex>(
         const CandidateExecution &, const ArmExecution &)> &TryCandidate) {
-  unsigned Workers = searchWorkers(Cfg);
+  unsigned Workers = resolveThreads(Cfg.Threads);
   std::atomic<bool> BudgetExhausted{false};
   for (unsigned N = Cfg.MinEvents; N <= Cfg.MaxEvents; ++N)
     for (unsigned L = 1; L <= Cfg.NumLocs; ++L) {
@@ -461,7 +431,7 @@ std::optional<SkeletonCex> jsmm::searchScDrfCex(const SearchConfig &Cfg,
 
 BoundedCompilationReport
 jsmm::boundedCompilationCheck(const SearchConfig &Cfg) {
-  unsigned Workers = searchWorkers(Cfg);
+  unsigned Workers = resolveThreads(Cfg.Threads);
   SearchStats Stats;
   std::atomic<bool> BudgetExhausted{false};
   std::atomic<uint64_t> ArmConsistent{0}, Failures{0};

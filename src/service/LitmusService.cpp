@@ -18,7 +18,6 @@
 #include <chrono>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
 using namespace jsmm;
 
@@ -54,40 +53,67 @@ bool LitmusJobResult::expectationsOk() const {
   return true;
 }
 
-namespace {
-
-/// The JavaScript model variants by jsmm-run name.
-const ModelSpec *jsSpecByName(const std::string &Name) {
-  static const std::vector<std::pair<std::string, ModelSpec>> Variants = {
-      {"original", ModelSpec::original()},
-      {"armfix", ModelSpec::armFixOnly()},
-      {"revised", ModelSpec::revised()},
-      {"strong", ModelSpec::revisedStrongTearFree()},
+const std::vector<JsVariant> &jsmm::jsVariants() {
+  static const std::vector<JsVariant> Variants = {
+      {"original", ModelSpec::original(),
+       "JavaScript model as specified (pre-repair)"},
+      {"armfix", ModelSpec::armFixOnly(),
+       "original + the ARMv8 compilation fix only"},
+      {"revised", ModelSpec::revised(),
+       "the paper's repaired model (default)"},
+      {"strong", ModelSpec::revisedStrongTearFree(),
+       "revised + strong tear-free reads"},
   };
-  for (const auto &[N, Spec] : Variants)
-    if (N == Name)
-      return &Spec;
+  return Variants;
+}
+
+const JsVariant *jsmm::jsVariant(const std::string &Name) {
+  for (const JsVariant &V : jsVariants())
+    if (Name == V.Name)
+      return &V;
   return nullptr;
 }
 
+bool jsmm::isKnownModel(const std::string &Model) {
+  return jsVariant(Model) || Model == "armv8" || TargetModel::byName(Model) ||
+         Model == "differential";
+}
+
+namespace {
+
 std::string knownModelList() {
-  std::string Out = "original, armfix, revised, strong, armv8";
+  std::string Out;
+  for (const JsVariant &V : jsVariants())
+    Out += std::string(V.Name) + ", ";
+  Out += "armv8";
   for (const TargetModel &M : TargetModel::all())
     Out += std::string(", ") + M.name();
   return Out + ", differential";
 }
 
-/// Sorted allowed-outcome strings of any enumeration result (its Allowed
-/// member is a std::map keyed by Outcome, so iteration order is already
-/// the sorted order).
-template <typename ResultT>
-std::vector<std::string> allowedStrings(const ResultT &R) {
-  std::vector<std::string> Out;
-  for (const auto &[O, W] : R.Allowed) {
-    (void)W;
-    Out.push_back(O.toString());
-  }
-  return Out;
+/// The effort record of one outcome-level enumeration; \p S is the
+/// engine's Stats right after it.
+EnumerationEffort effortOf(const OutcomeSummary &O, const EngineStats &S) {
+  return {O.Tier, solverKindName(O.SolverUsed), O.CandidatesConsidered,
+          O.ValidCandidates, S};
+}
+
+/// The mixed-size ARMv8 overload: the fixed tier only, and a solver-free
+/// axiomatic check.
+EnumerationEffort effortOf(const ArmEnumerationResult &A,
+                           const EngineStats &S) {
+  return {"inline", "", A.CandidatesConsidered, A.ConsistentCandidates, S};
+}
+
+/// Adds the counts and engine counters of \p E into \p Into.
+void fold(EnumerationEffort &Into, const EnumerationEffort &E) {
+  Into.CandidatesConsidered += E.CandidatesConsidered;
+  Into.ValidCandidates += E.ValidCandidates;
+  Into.Stats.WorkItems += E.Stats.WorkItems;
+  Into.Stats.PrunedSubtrees += E.Stats.PrunedSubtrees;
+  Into.Stats.SleptBranches += E.Stats.SleptBranches;
+  Into.Stats.StaticRfPruned += E.Stats.StaticRfPruned;
+  Into.Stats.StaticPathsPruned += E.Stats.StaticPathsPruned;
 }
 
 /// Checks the file's expectations against one enumeration result.
@@ -162,27 +188,22 @@ void runDifferentialTable(const LitmusFile &File, const ExecutionEngine &E,
     return;
   }
 
-  // Per-column pruning effort folds into the job's Static* counters
-  // (each enumerateOutcomes call resets the engine's Stats).
-  auto FoldStats = [&R, &E]() {
-    R.StaticRfPruned += E.Stats.StaticRfPruned;
-    R.StaticPathsPruned += E.Stats.StaticPathsPruned;
+  // Each column's effort folds into the job's record (every engine call
+  // resets the engine's Stats).
+  auto Column = [&R, &E](const std::string &Name, const auto &Res) {
+    R.AllowedByBackend[Name] = Res.outcomeStrings();
+    fold(R.Effort, effortOf(Res, E.Stats));
   };
-  R.AllowedByBackend["js-original"] =
-      E.enumerateOutcomes(File.P, JsModel(ModelSpec::original()))
-          .outcomeStrings();
-  FoldStats();
-  R.AllowedByBackend["js-revised"] =
-      E.enumerateOutcomes(File.P, JsModel(ModelSpec::revised()))
-          .outcomeStrings();
-  FoldStats();
+  Column("js-original",
+         E.enumerateOutcomes(File.P, JsModel(ModelSpec::original())));
+  Column("js-revised",
+         E.enumerateOutcomes(File.P, JsModel(ModelSpec::revised())));
   // The ARM lowering assumes zero-initialised buffers: programs with a
   // litmus `init` directive omit the armv8 column (like too-large ones).
   if (!File.P.hasNonZeroInit()) {
     CompiledProgram CP = compileToArm(File.P);
     if (!ExecutionEngine::capacityError(CP.Arm))
-      R.AllowedByBackend["armv8"] =
-          allowedStrings(E.enumerate(CP.Arm, Armv8Model()));
+      Column("armv8", E.enumerate(CP.Arm, Armv8Model()));
   }
 
   std::string Why;
@@ -199,27 +220,21 @@ void runDifferentialTable(const LitmusFile &File, const ExecutionEngine &E,
   R.AllowedByBackend["uni-js"] = std::move(UniAllowed);
 
   for (const TargetModel &M : TargetModel::all()) {
-    CompiledTarget CT = compileUni(*Uni, M.arch());
-    std::vector<std::string> Allowed =
-        E.enumerateOutcomes(CT, M).outcomeStrings();
-    FoldStats();
+    Column(M.name(), E.enumerateOutcomes(compileUni(*Uni, M.arch()), M));
+    const std::vector<std::string> &Allowed = R.AllowedByBackend[M.name()];
     for (const std::string &O : Allowed) {
       if (!UniSet.count(O))
         R.SoundnessViolations.push_back(std::string(M.name()) + ": " + O);
       if (!OrigSet.count(O))
         R.ObservableWeakenings.push_back(std::string(M.name()) + ": " + O);
     }
-    R.AllowedByBackend[M.name()] = std::move(Allowed);
   }
 }
 
 } // namespace
 
 unsigned LitmusService::effectiveWorkers() const {
-  if (Cfg.Workers)
-    return Cfg.Workers;
-  unsigned HW = std::thread::hardware_concurrency();
-  return HW ? HW : 1;
+  return resolveThreads(Cfg.Workers);
 }
 
 namespace {
@@ -247,43 +262,25 @@ std::optional<std::string> LitmusService::cacheKey(const LitmusJob &Job) {
   return keyOf(*File, Job.Model, Job.Reduce, Job.Static);
 }
 
-LitmusJobResult
-LitmusService::computeResult(const LitmusJob &Job,
-                             const std::optional<LitmusFile> &File,
-                             const LitmusParseDiag &ParseDiag) const {
+LitmusJobResult LitmusService::computeResult(const LitmusJob &Job,
+                                             const LitmusFile &File) {
   LitmusJobResult R;
-  R.Name = Job.Name;
+  R.Name = Job.Name.empty() ? File.P.Name : Job.Name;
   R.Model = Job.Model;
-
-  if (!File) {
-    // The parser is the capacity boundary for source programs; its typed
-    // TooLarge flag — never message-text matching, which a crafted
-    // diagnostic could spoof — selects the dedicated status.
-    R.Status = ParseDiag.TooLarge ? JobStatus::TooLarge
-                                  : JobStatus::ParseError;
-    R.Error = ParseDiag.Message;
-    return R;
-  }
-  if (R.Name.empty())
-    R.Name = File->P.Name;
 
   // Static pre-analysis: the Static* summary the JSONL "static" object
   // renders, and the statically-DRF certificate the fast paths below
   // consult. A pure function of the parsed program, so it stays
   // deterministic across worker counts.
   if (Job.Static) {
-    analysis::StaticClassification C = analysis::classify(File->P);
+    analysis::StaticClassification C = analysis::classify(File.P);
     R.HasStatic = true;
     R.StaticallyDrf = C.StaticallyDrf;
     R.StaticMayRaces = static_cast<unsigned>(C.MayRaces.size());
     R.StaticLints = static_cast<unsigned>(C.Lints.size());
   }
 
-  const ModelSpec *JsSpec = jsSpecByName(Job.Model);
-  const TargetModel *Target = TargetModel::byName(Job.Model);
-  bool MixedArm = Job.Model == "armv8";
-  bool Differential = Job.Model == "differential";
-  if (!JsSpec && !Target && !MixedArm && !Differential) {
+  if (!isKnownModel(Job.Model)) {
     R.Status = JobStatus::Unsupported;
     R.Error = "unknown model '" + Job.Model + "' (known: " +
               knownModelList() + ")";
@@ -294,91 +291,91 @@ LitmusService::computeResult(const LitmusJob &Job,
                                       /*ForceDynRelation=*/false,
                                       /*Reduction=*/Job.Reduce,
                                       /*StaticFastPath=*/Job.Static});
+  // A single-model job's verdict: its one enumeration's outcomes, the
+  // file's expectations checked against them, and its effort.
+  auto Verdict = [&](const auto &Res) {
+    R.AllowedByBackend[Job.Model] = Res.outcomeStrings();
+    R.Expectations = checkExpectations(Res, File.Expectations);
+    R.Effort = effortOf(Res, Engine.Stats);
+    return R;
+  };
+  auto TooLarge = [&](const std::string &Cap) {
+    R.Status = JobStatus::TooLarge;
+    R.Error = Cap + " (after compilation for " + Job.Model + ")";
+    return R;
+  };
   try {
     // The parser already rejects source programs beyond the dynamic cap
     // (DynRelation::MaxSize); compiled forms can still exceed it (schemes
     // insert fences), so the engine checks are re-surfaced per compiled
     // program below.
     if (std::optional<std::string> Cap =
-            ExecutionEngine::capacityError(File->P)) {
+            ExecutionEngine::capacityError(File.P)) {
       R.Status = JobStatus::TooLarge;
       R.Error = *Cap;
       return R;
     }
 
-    if (Differential) {
-      runDifferentialTable(*File, Engine, R.StaticallyDrf, R);
+    if (Job.Model == "differential") {
+      runDifferentialTable(File, Engine, R.StaticallyDrf, R);
       return R;
     }
 
-    if (Target) {
-      std::string Why;
-      std::optional<UniProgram> Uni = uniFromProgram(File->P, &Why);
-      if (!Uni) {
-        R.Status = JobStatus::Unsupported;
-        R.Error = "not in the uni-size fragment required by target "
-                  "backends: " +
-                  Why;
-        return R;
-      }
-      CompiledTarget CT = compileUni(*Uni, Target->arch());
-      if (std::optional<std::string> Cap =
-              ExecutionEngine::capacityError(CT)) {
-        R.Status = JobStatus::TooLarge;
-        R.Error = *Cap + " (after compilation for " + Job.Model + ")";
-        return R;
-      }
-      OutcomeSummary TR = Engine.enumerateOutcomes(CT, *Target);
-      R.AllowedByBackend[Job.Model] = TR.outcomeStrings();
-      R.Expectations = checkExpectations(TR, File->Expectations);
-      R.DrfFastPath = TR.Tier == "static";
-      return R;
+    if (const JsVariant *Js = jsVariant(Job.Model)) {
+      OutcomeSummary ER = Engine.enumerateOutcomes(File.P, JsModel(Js->Spec));
+      R.DrfFastPath = ER.Tier == "static";
+      return Verdict(ER);
     }
 
-    if (MixedArm) {
-      if (File->P.hasNonZeroInit()) {
+    if (Job.Model == "armv8") {
+      if (File.P.hasNonZeroInit()) {
         R.Status = JobStatus::Unsupported;
         R.Error = "the armv8 backend assumes zero-initialised buffers; "
                   "litmus 'init' directives are not supported there";
         return R;
       }
-      CompiledProgram CP = compileToArm(File->P);
+      CompiledProgram CP = compileToArm(File.P);
       if (std::optional<std::string> Cap =
-              ExecutionEngine::capacityError(CP.Arm)) {
-        R.Status = JobStatus::TooLarge;
-        R.Error = *Cap + " (after compilation for armv8)";
-        return R;
-      }
-      ArmEnumerationResult AR = Engine.enumerate(CP.Arm, Armv8Model());
-      R.AllowedByBackend[Job.Model] = allowedStrings(AR);
-      R.Expectations = checkExpectations(AR, File->Expectations);
-      return R;
+              ExecutionEngine::capacityError(CP.Arm))
+        return TooLarge(*Cap);
+      return Verdict(Engine.enumerate(CP.Arm, Armv8Model()));
     }
 
-    OutcomeSummary ER = Engine.enumerateOutcomes(File->P, JsModel(*JsSpec));
-    R.AllowedByBackend[Job.Model] = ER.outcomeStrings();
-    R.Expectations = checkExpectations(ER, File->Expectations);
-    R.DrfFastPath = ER.Tier == "static";
-    return R;
+    const TargetModel &Target = *TargetModel::byName(Job.Model);
+    std::string Why;
+    std::optional<UniProgram> Uni = uniFromProgram(File.P, &Why);
+    if (!Uni) {
+      R.Status = JobStatus::Unsupported;
+      R.Error = "not in the uni-size fragment required by target "
+                "backends: " +
+                Why;
+      return R;
+    }
+    CompiledTarget CT = compileUni(*Uni, Target.arch());
+    if (std::optional<std::string> Cap = ExecutionEngine::capacityError(CT))
+      return TooLarge(*Cap);
+    OutcomeSummary TR = Engine.enumerateOutcomes(CT, Target);
+    R.DrfFastPath = TR.Tier == "static";
+    return Verdict(TR);
   } catch (const CapacityError &E) {
     // Backstop for any capacity path the up-front checks missed (e.g. a
     // compiled form growing beyond the source bound): the job fails, the
     // batch does not. Classification is on the exception *type*: an
     // unrelated std::length_error (below) is an internal error, not a
     // too-large program.
-    R = LitmusJobResult();
-    R.Name = Job.Name.empty() ? File->P.Name : Job.Name;
-    R.Model = Job.Model;
-    R.Status = JobStatus::TooLarge;
-    R.Error = E.what();
-    return R;
+    LitmusJobResult F;
+    F.Name = R.Name;
+    F.Model = R.Model;
+    F.Status = JobStatus::TooLarge;
+    F.Error = E.what();
+    return F;
   } catch (const std::exception &E) {
-    R = LitmusJobResult();
-    R.Name = Job.Name.empty() ? File->P.Name : Job.Name;
-    R.Model = Job.Model;
-    R.Status = JobStatus::Unsupported;
-    R.Error = std::string("internal error: ") + E.what();
-    return R;
+    LitmusJobResult F;
+    F.Name = R.Name;
+    F.Model = R.Model;
+    F.Status = JobStatus::Unsupported;
+    F.Error = std::string("internal error: ") + E.what();
+    return F;
   }
 }
 
@@ -412,6 +409,20 @@ LitmusJobResult LitmusService::lookupOrCompute(const LitmusJob &Job,
       return R;
     }
   }
+  auto Compute = [&] {
+    if (File)
+      return computeResult(Job, *File);
+    // The parser is the capacity boundary for source programs; its typed
+    // TooLarge flag — never message-text matching, which a crafted
+    // diagnostic could spoof — selects the dedicated status.
+    LitmusJobResult F;
+    F.Name = Job.Name;
+    F.Model = Job.Model;
+    F.Status =
+        ParseDiag.TooLarge ? JobStatus::TooLarge : JobStatus::ParseError;
+    F.Error = ParseDiag.Message;
+    return F;
+  };
   LitmusJobResult R;
   if (obs::metricsEnabled()) {
     // Attribute the solver work of this computation to this job. The
@@ -420,12 +431,12 @@ LitmusJobResult LitmusService::lookupOrCompute(const LitmusJob &Job,
     // JSONL record deterministic across worker counts and schedules.
     SolverActivitySink JobSink;
     SolverActivitySink *Prev = setCurrentSolverActivitySink(&JobSink);
-    R = computeResult(Job, File, ParseDiag);
+    R = Compute();
     setCurrentSolverActivitySink(Prev);
     R.Solver = JobSink.snapshot();
     R.HasSolverStats = true;
   } else {
-    R = computeResult(Job, File, ParseDiag);
+    R = Compute();
   }
   if (Key) {
     std::lock_guard<std::mutex> Lock(CacheMu);
@@ -518,26 +529,9 @@ LitmusService::run(const std::vector<LitmusJob> &Jobs) {
       Trace->event("job-end", std::move(F));
     }
   };
-  if (Workers <= 1) {
-    for (size_t I = 0; I < Jobs.size(); ++I)
-      RunJob(I);
-  } else {
-    // Bounded pool: jobs are claimed from an atomic counter and each
-    // worker writes only its claimed submission slots, so the result
-    // vector is deterministic in submission order for every worker count.
-    std::atomic<size_t> Next{0};
-    auto Worker = [&] {
-      for (size_t I = Next.fetch_add(1); I < Jobs.size();
-           I = Next.fetch_add(1))
-        RunJob(I);
-    };
-    std::vector<std::thread> Pool;
-    Pool.reserve(Workers);
-    for (unsigned W = 0; W < Workers; ++W)
-      Pool.emplace_back(Worker);
-    for (std::thread &T : Pool)
-      T.join();
-  }
+  // Each worker writes only its claimed submission slots, so the result
+  // vector is deterministic in submission order for every worker count.
+  runSharded(Jobs.size(), Workers, RunJob);
   if (Metrics) {
     obs::MetricsRegistry &Reg = obs::registry();
     Reg.counter("service.jobs").add(Jobs.size());

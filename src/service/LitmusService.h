@@ -38,14 +38,18 @@
 /// capacity checks, parser numeric hardening).
 ///
 /// Front doors: the `jsmm-batch` tool (JSONL job files / litmus
-/// directories in, a JSONL verdict stream out) and the C++ API used by
-/// examples/litmus_explorer.
+/// directories in, a JSONL verdict stream out), the C++ API used by
+/// examples/litmus_explorer, and `jsmm-run`, which answers one parsed file
+/// through computeResult (below the cache and the per-job telemetry). The
+/// backend table (jsVariants, isKnownModel) and the backend dispatch live
+/// here and nowhere else.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef JSMM_SERVICE_LITMUSSERVICE_H
 #define JSMM_SERVICE_LITMUSSERVICE_H
 
+#include "engine/ExecutionEngine.h"
 #include "solver/TotSolver.h"
 #include "tools/LitmusParser.h"
 
@@ -63,6 +67,23 @@ enum class JobStatus : uint8_t { Ok, TooLarge, ParseError, Unsupported };
 
 /// \returns "ok" / "too-large" / "parse-error" / "unsupported".
 const char *jobStatusName(JobStatus S);
+
+/// A JavaScript model variant by backend name, with the one-line
+/// description `jsmm-run --list-models` prints.
+struct JsVariant {
+  const char *Name;
+  ModelSpec Spec;
+  const char *Desc;
+};
+
+/// The JavaScript backends ("original", "armfix", "revised", "strong"), in
+/// listing order.
+const std::vector<JsVariant> &jsVariants();
+/// \returns the JavaScript variant named \p Name, or nullptr.
+const JsVariant *jsVariant(const std::string &Name);
+/// \returns true if \p Model is a backend a LitmusJob accepts: a
+/// JavaScript variant, "armv8", a Thm 6.3 target or "differential".
+bool isKnownModel(const std::string &Model);
 
 /// One unit of service work: a litmus program and how to run it.
 struct LitmusJob {
@@ -101,6 +122,20 @@ struct ExpectationResult {
   std::string Outcome;   ///< the outcome's string form
   bool Observed = false; ///< what the model said
   bool Ok = false;       ///< Observed == Allowed
+};
+
+/// The effort of a job's enumerations.
+struct EnumerationEffort {
+  /// The relation tier of the primary enumeration ("inline", "dyn" or
+  /// "static"); empty for differential jobs.
+  std::string Tier;
+  /// The tot solver of the primary enumeration; empty when none ran (the
+  /// solver-free armv8 check, differential jobs).
+  std::string Solver;
+  uint64_t CandidatesConsidered = 0;
+  /// Valid (JavaScript) / consistent (targets, ARMv8) candidates.
+  uint64_t ValidCandidates = 0;
+  EngineStats Stats;
 };
 
 /// The result of one job, in its submission slot.
@@ -147,13 +182,12 @@ struct LitmusJobResult {
   unsigned StaticMayRaces = 0;    ///< may-race pairs in the program
   unsigned StaticLints = 0;       ///< lint diagnostics (jsmm-lint's vocabulary)
   bool DrfFastPath = false;       ///< verdicts served by the SC fast path
-  /// Value-aware pruning effort summed over the job's enumerations
-  /// (EngineStats::StaticRfPruned / StaticPathsPruned): writer choices
-  /// outside a read's static may-rf set and path combinations with
-  /// contradicted branch constraints. 0 when the fast path served the
-  /// job, or when Static is off. Deterministic across worker counts.
-  uint64_t StaticRfPruned = 0;
-  uint64_t StaticPathsPruned = 0;
+  /// Single-model jobs: the effort of the one engine call behind the
+  /// verdict. Differential jobs: the counts and EngineStats summed over the
+  /// engine-backed columns; all zero when the DRF fast path served the
+  /// table. A function of the job alone, so deterministic across worker
+  /// counts.
+  EnumerationEffort Effort;
 
   bool ok() const { return Status == JobStatus::Ok; }
   /// \returns true if \p Backend allows the outcome string \p O.
@@ -207,10 +241,15 @@ public:
   /// jobs (which are never cached).
   static std::optional<std::string> cacheKey(const LitmusJob &Job);
 
+  /// The verdict of \p Job on its parsed \p File (Job.Litmus is not
+  /// read): the backend dispatch with its uni-size, zero-init and capacity
+  /// gates, the expectation checks and the Effort record. Runs below the
+  /// cache and the per-job telemetry, so it emits no cache event and no
+  /// service.* metric.
+  static LitmusJobResult computeResult(const LitmusJob &Job,
+                                       const LitmusFile &File);
+
 private:
-  LitmusJobResult computeResult(const LitmusJob &Job,
-                                const std::optional<LitmusFile> &File,
-                                const LitmusParseDiag &ParseDiag) const;
   /// runOne minus the per-job telemetry: cache lookup, else compute (with
   /// a per-job solver-activity sink when metrics are on) and populate.
   /// \p CacheHit reports whether the cache served the result.

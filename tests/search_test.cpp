@@ -4,6 +4,7 @@
 
 #include "compile/TotConstruction.h"
 #include "exec/Enumerator.h"
+#include "solver/TotSolver.h"
 
 #include "support/Str.h"
 
@@ -233,6 +234,38 @@ TEST(Search, NoScDrfCexInRevisedModelUpToFourEvents) {
   Cfg.Js = ModelSpec::revised();
   auto Cex = searchScDrfCex(Cfg);
   EXPECT_FALSE(Cex.has_value());
+}
+
+TEST(Search, WorkersInheritSolverActivitySink) {
+  // The sweep's workers add their solver queries to the caller's sink, so
+  // an attributed (traced) search counts the same work at every thread
+  // count. An unbudgeted search without a hit visits every unit, so the
+  // counts are exact at any thread count.
+  SearchConfig Cfg;
+  Cfg.MinEvents = 2;
+  Cfg.MaxEvents = 4;
+  Cfg.NumLocs = 1;
+  Cfg.Js = ModelSpec::revised();
+  auto Run = [&Cfg](unsigned Threads, SearchStats &Stats) {
+    Cfg.Threads = Threads;
+    SolverActivitySink Sink;
+    SolverActivitySink *Prev = setCurrentSolverActivitySink(&Sink);
+    EXPECT_FALSE(searchScDrfCex(Cfg, &Stats).has_value());
+    setCurrentSolverActivitySink(Prev);
+    SolverActivity A = Sink.snapshot();
+    return std::vector<uint64_t>{
+        A.Queries,         A.PropagateBranches, A.PropagateForcedEdges,
+        A.BruteExtensions, A.SatDecisions,      A.SatPropagations,
+        A.SatConflicts,    A.SatLearned,        A.SatCycleClauses};
+  };
+  SearchStats One, Four;
+  std::vector<uint64_t> OneActivity = Run(1, One);
+  EXPECT_GT(OneActivity[0], 0u) << "the search asked no solver questions";
+  EXPECT_EQ(Run(4, Four), OneActivity);
+  EXPECT_EQ(Four.Skeletons, One.Skeletons);
+  EXPECT_EQ(Four.RbfCandidates, One.RbfCandidates);
+  EXPECT_EQ(Four.ArmConsistencyChecks, One.ArmConsistencyChecks);
+  EXPECT_EQ(Four.BudgetExhausted, One.BudgetExhausted);
 }
 
 TEST(Search, BoundedCompilationHoldsForRevisedModel) {

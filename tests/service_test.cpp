@@ -10,6 +10,7 @@
 
 #include "service/LitmusService.h"
 
+#include "compile/Compile.h"
 #include "engine/ExecutionEngine.h"
 #include "support/CapacityError.h"
 #include "support/DynRelation.h"
@@ -405,6 +406,46 @@ TEST(LitmusService, SingleModelJobMatchesDirectEnumeration) {
   EXPECT_EQ(R.AllowedByBackend.at("x86-tso"), Expect);
   ASSERT_EQ(R.Expectations.size(), 1u);
   EXPECT_TRUE(R.Expectations[0].Ok) << "x86-TSO forbids the MP weak outcome";
+}
+
+TEST(LitmusService, ResultCarriesThePrimaryEnumerationEffort) {
+  // jsmm-run's --stats footer prints this record, so it must describe the
+  // job's own engine call: the same counts and counters a direct call with
+  // the job's configuration reports.
+  std::optional<LitmusFile> File = parseLitmus(GoodMp);
+  ASSERT_TRUE(File.has_value());
+  auto SameStats = [](const EngineStats &A, const EngineStats &B) {
+    return A.WorkItems == B.WorkItems &&
+           A.PrunedSubtrees == B.PrunedSubtrees &&
+           A.SleptBranches == B.SleptBranches &&
+           A.StaticRfPruned == B.StaticRfPruned &&
+           A.StaticPathsPruned == B.StaticPathsPruned;
+  };
+  ExecutionEngine Engine(EngineConfig{1, true, /*ForceDynRelation=*/false,
+                                      /*Reduction=*/true,
+                                      /*StaticFastPath=*/true});
+
+  LitmusJob Js{"mp", "", "revised", 1};
+  LitmusJobResult R = LitmusService::computeResult(Js, *File);
+  ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+  OutcomeSummary S =
+      Engine.enumerateOutcomes(File->P, JsModel(ModelSpec::revised()));
+  EXPECT_EQ(R.Effort.Tier, S.Tier);
+  EXPECT_EQ(R.Effort.Solver, solverKindName(S.SolverUsed));
+  EXPECT_EQ(R.Effort.CandidatesConsidered, S.CandidatesConsidered);
+  EXPECT_EQ(R.Effort.ValidCandidates, S.ValidCandidates);
+  EXPECT_TRUE(SameStats(R.Effort.Stats, Engine.Stats));
+
+  LitmusJob Arm{"mp", "", "armv8", 1};
+  R = LitmusService::computeResult(Arm, *File);
+  ASSERT_EQ(R.Status, JobStatus::Ok) << R.Error;
+  ArmEnumerationResult A =
+      Engine.enumerate(compileToArm(File->P).Arm, Armv8Model());
+  EXPECT_EQ(R.Effort.Tier, "inline");
+  EXPECT_EQ(R.Effort.Solver, "") << "the ARMv8 check is solver-free";
+  EXPECT_EQ(R.Effort.CandidatesConsidered, A.CandidatesConsidered);
+  EXPECT_EQ(R.Effort.ValidCandidates, A.ConsistentCandidates);
+  EXPECT_TRUE(SameStats(R.Effort.Stats, Engine.Stats));
 }
 
 //===----------------------------------------------------------------------===//

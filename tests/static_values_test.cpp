@@ -605,13 +605,15 @@ TEST(StaticValues, ServiceCorpusTablesIdenticalWithPruningOnAndOff) {
             << Where;
         EXPECT_EQ(Got[I].ObservableWeakenings, Ref[I].ObservableWeakenings)
             << Where;
-        EXPECT_EQ(Ref[I].StaticRfPruned, 0u) << Where; // off: no pruning
-        RfPruned += Got[I].StaticRfPruned;
+        const EngineStats &GotStats = Got[I].Effort.Stats;
+        // off: no pruning
+        EXPECT_EQ(Ref[I].Effort.Stats.StaticRfPruned, 0u) << Where;
+        RfPruned += GotStats.StaticRfPruned;
         if (FirstOn) {
-          EXPECT_EQ(Got[I].StaticRfPruned, (*FirstOn)[I].StaticRfPruned)
+          const EngineStats &FirstStats = (*FirstOn)[I].Effort.Stats;
+          EXPECT_EQ(GotStats.StaticRfPruned, FirstStats.StaticRfPruned)
               << Where;
-          EXPECT_EQ(Got[I].StaticPathsPruned,
-                    (*FirstOn)[I].StaticPathsPruned)
+          EXPECT_EQ(GotStats.StaticPathsPruned, FirstStats.StaticPathsPruned)
               << Where;
         }
       }

@@ -272,9 +272,14 @@ std::string renderResult(size_t Index, const LitmusJobResult &R,
     St.set("may_races", JsonValue(static_cast<uint64_t>(R.StaticMayRaces)));
     St.set("lints", JsonValue(static_cast<uint64_t>(R.StaticLints)));
     St.set("fastpath", JsonValue(R.DrfFastPath));
-    St.set("rf_pruned", JsonValue(static_cast<uint64_t>(R.StaticRfPruned)));
-    St.set("paths_pruned",
-           JsonValue(static_cast<uint64_t>(R.StaticPathsPruned)));
+    // The pruning counts summed over a differential table's columns.
+    // Single-model records have always carried 0 here; reporting their
+    // real counts is a stream-format change of its own.
+    EngineStats Pruned;
+    if (R.Model == "differential")
+      Pruned = R.Effort.Stats;
+    St.set("rf_pruned", JsonValue(Pruned.StaticRfPruned));
+    St.set("paths_pruned", JsonValue(Pruned.StaticPathsPruned));
     Obj.set("static", std::move(St));
   }
   if (WithSolver && R.HasSolverStats)

@@ -27,12 +27,17 @@
 /// the architecture's axiomatic model; `armv8` compiles to the mixed-size
 /// ARMv8 model of §4.
 ///
+/// The verdicts come from LitmusService::computeResult, the backend
+/// dispatch jsmm-batch runs too (minus its cache and per-job telemetry):
+/// one model table, one set of capacity and fragment gates. Only the
+/// witness-carrying SC-DRF report is a direct engine call.
+///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/StaticValues.h"
-#include "compile/Compile.h"
-#include "engine/ExecutionEngine.h"
 #include "obs/Obs.h"
+#include "service/LitmusService.h"
+#include "support/CapacityError.h"
 #include "support/Str.h"
 #include "tools/LitmusParser.h"
 
@@ -46,25 +51,6 @@
 using namespace jsmm;
 
 namespace {
-
-struct JsVariant {
-  const char *Name;
-  ModelSpec Spec;
-  const char *Desc;
-};
-
-std::vector<JsVariant> jsVariants() {
-  return {
-      {"original", ModelSpec::original(),
-       "JavaScript model as specified (pre-repair)"},
-      {"armfix", ModelSpec::armFixOnly(),
-       "original + the ARMv8 compilation fix only"},
-      {"revised", ModelSpec::revised(),
-       "the paper's repaired model (default)"},
-      {"strong", ModelSpec::revisedStrongTearFree(),
-       "revised + strong tear-free reads"},
-  };
-}
 
 void listModels(std::ostream &Out) {
   Out << "jsmm-run backends (--model=NAME):\n"
@@ -117,22 +103,19 @@ int unknownModel(const std::string &Name) {
   return 2;
 }
 
-/// Prints \p Allowed and checks \p Expectations against it; \returns the
-/// number of failed expectations.
-template <typename ResultT>
-int reportOutcomes(const ResultT &R,
-                   const std::vector<LitmusExpectation> &Expectations) {
-  std::cout << "allowed outcomes (" << R.Allowed.size() << "):\n";
-  for (const std::string &O : R.outcomeStrings())
+/// Prints the allowed outcomes of \p R's own column and its expectation
+/// checks; \returns the number of failed expectations.
+int reportOutcomes(const LitmusJobResult &R) {
+  const std::vector<std::string> &Allowed = R.AllowedByBackend.at(R.Model);
+  std::cout << "allowed outcomes (" << Allowed.size() << "):\n";
+  for (const std::string &O : Allowed)
     std::cout << "  " << O << "\n";
   int Failures = 0;
-  for (const LitmusExpectation &E : Expectations) {
-    bool Observed = R.allows(E.O);
-    bool Ok = Observed == E.Allowed;
-    Failures += Ok ? 0 : 1;
-    std::cout << (Ok ? "[ok]   " : "[FAIL] ")
-              << (E.Allowed ? "allow  " : "forbid ") << E.O.toString()
-              << "  -> " << (Observed ? "allowed" : "forbidden") << "\n";
+  for (const ExpectationResult &E : R.Expectations) {
+    Failures += E.Ok ? 0 : 1;
+    std::cout << (E.Ok ? "[ok]   " : "[FAIL] ")
+              << (E.Allowed ? "allow  " : "forbid ") << E.Outcome << "  -> "
+              << (E.Observed ? "allowed" : "forbidden") << "\n";
   }
   return Failures;
 }
@@ -141,20 +124,14 @@ int reportOutcomes(const ResultT &R,
 
 int main(int Argc, char **Argv) {
   std::string Path;
-  std::string ModelName = "revised";
   std::string TracePath;
   bool Stats = false, StatsJson = false;
-  EngineConfig Cfg;
-  // The CLI defaults to the equivalence-aware enumeration: the allowed
-  // outcomes are identical to the unreduced run (reduction_test pins
-  // this), only the work to get there shrinks. --reduce=off restores the
-  // exhaustive walk for debugging and A/B timing.
-  Cfg.Reduction = true;
-  // Likewise the static DRF-SC fast path: statically race-free programs
-  // get the identical verdict table from one SC enumeration (the
-  // static-vs-dynamic tests pin this); --no-static restores the full
-  // model enumeration.
-  Cfg.StaticFastPath = true;
+  // The job's defaults are the CLI's: the equivalence-aware enumeration
+  // (--reduce=off restores the exhaustive walk) and the static DRF-SC fast
+  // path (--no-static restores the full model enumeration) are on. The
+  // verdict tables are identical either way (reduction_test and the
+  // static-vs-dynamic tests pin this); only the work shrinks.
+  LitmusJob Job;
   bool WithArm = false, WithScDrf = false;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -169,11 +146,11 @@ int main(int Argc, char **Argv) {
           parseCliUnsigned("jsmm-run", "--threads", Arg.substr(10));
       if (!N)
         return 2;
-      Cfg.Threads = *N;
+      Job.Threads = *N;
       continue;
     }
     if (Arg.rfind("--model=", 0) == 0) {
-      ModelName = Arg.substr(8);
+      Job.Model = Arg.substr(8);
       continue;
     }
     if (Arg.rfind("--reduce=", 0) == 0) {
@@ -183,7 +160,7 @@ int main(int Argc, char **Argv) {
                   << "'\n";
         return 2;
       }
-      Cfg.Reduction = Val == "on";
+      Job.Reduce = Val == "on";
       continue;
     }
     if (Arg.rfind("--solver=", 0) == 0) {
@@ -216,7 +193,7 @@ int main(int Argc, char **Argv) {
       continue;
     }
     if (Arg == "--no-static") {
-      Cfg.StaticFastPath = false;
+      Job.Static = false;
       continue;
     }
     if (Arg == "--arm")
@@ -229,22 +206,17 @@ int main(int Argc, char **Argv) {
       Path = Arg;
   }
 
-  // Resolve the backend up front so a typo fails before any file I/O.
-  const ModelSpec *JsSpec = nullptr;
-  static std::vector<JsVariant> Variants = jsVariants();
-  for (const JsVariant &V : Variants)
-    if (ModelName == V.Name)
-      JsSpec = &V.Spec;
-  const TargetModel *Target = TargetModel::byName(ModelName);
-  bool MixedArm = ModelName == "armv8";
-  if (!JsSpec && !Target && !MixedArm)
-    return unknownModel(ModelName);
+  // Resolve the backend up front so a typo fails before any file I/O. The
+  // cross-model "differential" table is jsmm-batch's, not a backend here.
+  const JsVariant *Js = jsVariant(Job.Model);
+  if (!isKnownModel(Job.Model) || Job.Model == "differential")
+    return unknownModel(Job.Model);
 
   if (Path.empty())
     return usage();
-  if ((WithArm || WithScDrf) && !JsSpec) {
+  if ((WithArm || WithScDrf) && !Js) {
     std::cerr << "jsmm-run: --arm/--scdrf apply to the JavaScript backends "
-                 "only (model '" << ModelName << "' is a compiled backend)\n";
+                 "only (model '" << Job.Model << "' is a compiled backend)\n";
     return 2;
   }
 
@@ -275,96 +247,61 @@ int main(int Argc, char **Argv) {
     obs::setTrace(Trace.get());
   }
 
-  ExecutionEngine Engine(Cfg);
-  std::cout << "test " << File->P.Name << " (model: " << ModelName
-            << ", threads: " << Engine.effectiveThreads()
+  std::cout << "test " << File->P.Name << " (model: " << Job.Model
+            << ", threads: " << resolveThreads(Job.Threads)
             << ", solver: " << solverKindName(defaultSolverKind())
-            << ", reduce: " << (Cfg.Reduction ? "on" : "off") << ")\n";
+            << ", reduce: " << (Job.Reduce ? "on" : "off") << ")\n";
 
-  // The footer's enumeration facts, filled by whichever backend ran.
-  std::string Tier;
-  std::string SolverName;
-  uint64_t Considered = 0, Valid = 0;
+  // A job the service refused (outside the backend's fragment, too large
+  // for a capacity tier) is a usage-level failure of this run.
+  auto Refused = [&](const LitmusJobResult &R) {
+    std::cerr << "jsmm-run: " << Path << ": " << R.Error << "\n";
+    return 2;
+  };
+  LitmusJobResult R = LitmusService::computeResult(Job, *File);
+  if (!R.ok())
+    return Refused(R);
+  int Failures = reportOutcomes(R);
 
-  int Failures = 0;
-  try {
-  if (Target) {
-    std::optional<UniProgram> Uni = uniFromProgram(File->P, &Error);
-    if (!Uni) {
-      std::cerr << "jsmm-run: " << Path << ": not in the uni-size fragment "
-                << "required by target backends: " << Error << "\n";
-      return 2;
+  if (WithArm) {
+    LitmusJob ArmJob = Job;
+    ArmJob.Model = "armv8";
+    LitmusJobResult Arm = LitmusService::computeResult(ArmJob, *File);
+    if (Arm.Status == JobStatus::Unsupported) {
+      // The zero-init gate: the JavaScript verdict stands on its own.
+      std::cerr << "jsmm-run: " << Path << ": skipping --arm: "
+                << Arm.Error.substr(0, Arm.Error.find(';')) << "\n";
+    } else if (!Arm.ok()) {
+      return Refused(Arm);
+    } else {
+      const std::vector<std::string> &Outcomes = Arm.AllowedByBackend.at(
+          ArmJob.Model);
+      std::cout << "compiled ARMv8 outcomes (" << Outcomes.size() << "):\n";
+      for (const std::string &O : Outcomes)
+        std::cout << "  " << O
+                  << (R.allows(Job.Model, O) ? "" : "   <- not allowed by JS!")
+                  << "\n";
     }
-    CompiledTarget CT = compileUni(*Uni, Target->arch());
-    OutcomeSummary TR = Engine.enumerateOutcomes(CT, *Target);
-    Tier = TR.Tier;
-    SolverName = solverKindName(TR.SolverUsed);
-    Considered = TR.CandidatesConsidered;
-    Valid = TR.ValidCandidates;
-    Failures = reportOutcomes(TR, File->Expectations);
-  } else if (MixedArm) {
-    if (File->P.hasNonZeroInit()) {
-      std::cerr << "jsmm-run: " << Path << ": the armv8 backend assumes "
-                << "zero-initialised buffers; litmus 'init' directives are "
-                << "not supported there\n";
-      return 2;
-    }
-    CompiledProgram CP = compileToArm(File->P);
-    ArmEnumerationResult AR = Engine.enumerate(CP.Arm, Armv8Model());
-    // The mixed-size ARMv8 backend serves the fixed tier only and its
-    // axiomatic check is solver-free.
-    Tier = "inline";
-    Considered = AR.CandidatesConsidered;
-    Valid = AR.ConsistentCandidates;
-    Failures = reportOutcomes(AR, File->Expectations);
-  } else {
-    // Outcome-level enumeration serves both capacity tiers: programs
-    // beyond 64 events run on the heap-backed DynRelation automatically.
-    OutcomeSummary R = Engine.enumerateOutcomes(File->P, JsModel(*JsSpec));
-    Tier = R.Tier;
-    SolverName = solverKindName(R.SolverUsed);
-    Considered = R.CandidatesConsidered;
-    Valid = R.ValidCandidates;
-    Failures = reportOutcomes(R, File->Expectations);
+  }
 
-    if (WithArm && File->P.hasNonZeroInit()) {
-      std::cerr << "jsmm-run: " << Path << ": skipping --arm: the armv8 "
-                << "backend assumes zero-initialised buffers\n";
-      WithArm = false;
-    }
-    if (WithArm) {
-      CompiledProgram CP = compileToArm(File->P);
-      ArmEnumerationResult Arm = Engine.enumerate(CP.Arm, Armv8Model());
-      std::cout << "compiled ARMv8 outcomes (" << Arm.Allowed.size()
-                << "):\n";
-      for (const auto &[O, X] : Arm.Allowed) {
-        (void)X;
-        std::cout << "  " << O.toString()
-                  << (R.allows(O) ? "" : "   <- not allowed by JS!") << "\n";
-      }
-    }
-
-    if (WithScDrf) {
-      ScDrfReport Rep = Engine.scDrf(File->P, JsModel(*JsSpec));
+  if (WithScDrf) {
+    try {
+      ScDrfReport Rep = ExecutionEngine().scDrf(File->P, JsModel(Js->Spec));
       std::cout << "SC-DRF: data-race-free="
                 << (Rep.DataRaceFree ? "yes" : "no")
                 << " all-SC=" << (Rep.AllValidExecutionsSC ? "yes" : "no")
                 << " property=" << (Rep.holds() ? "holds" : "VIOLATED")
                 << "\n";
+    } catch (const CapacityError &E) {
+      // The witness-carrying report stays on the 64-event tier.
+      std::cerr << "jsmm-run: " << Path << ": " << E.what() << "\n";
+      return 2;
     }
-  }
-  } catch (const std::length_error &E) {
-    // The parser bounds source programs; compiled forms (fence-inserting
-    // schemes) and the witness-carrying --arm/--scdrf extras can still
-    // exceed a relation tier, which the engine reports by throwing a
-    // CapacityError.
-    std::cerr << "jsmm-run: " << Path << ": " << E.what() << "\n";
-    return 2;
   }
   obs::setTrace(nullptr);
 
+  const EnumerationEffort &Eff = R.Effort;
   if (Stats && !StatsJson) {
-    const EngineStats &ES = Engine.Stats;
     obs::MetricsRegistry &Reg = obs::registry();
     // The static classification block prints whether or not the fast path
     // is enabled (--no-static disables the *use* of the analysis, not the
@@ -376,20 +313,20 @@ int main(int Argc, char **Argv) {
       if (F.Class == analysis::ByteClass::MultiWriter && F.Read)
         ++Racy;
     }
-    std::cout << "stats: tier " << (Tier.empty() ? "-" : Tier) << ", solver "
-              << (SolverName.empty() ? "-" : SolverName) << "\n"
-              << "stats: candidates considered " << Considered << ", valid "
-              << Valid << "\n"
+    std::cout << "stats: tier " << (Eff.Tier.empty() ? "-" : Eff.Tier)
+              << ", solver " << (Eff.Solver.empty() ? "-" : Eff.Solver) << "\n"
+              << "stats: candidates considered " << Eff.CandidatesConsidered
+              << ", valid " << Eff.ValidCandidates << "\n"
               << "stats: static bytes " << SV.Bytes.size() << ", racy bytes "
               << Racy << ", may-races " << SV.C.MayRaces.size() << ", drf "
               << (SV.C.StaticallyDrf ? "yes" : "no") << ", fast path "
-              << (Cfg.StaticFastPath ? "on" : "off") << "\n"
-              << "stats: static rf pruned " << ES.StaticRfPruned
-              << ", paths pruned " << ES.StaticPathsPruned
+              << (Job.Static ? "on" : "off") << "\n"
+              << "stats: static rf pruned " << Eff.Stats.StaticRfPruned
+              << ", paths pruned " << Eff.Stats.StaticPathsPruned
               << ", may-rf excluded " << SV.MayRfExcluded << "\n"
-              << "stats: work items " << ES.WorkItems
-              << ", pruned subtrees " << ES.PrunedSubtrees
-              << ", slept branches " << ES.SleptBranches << "\n"
+              << "stats: work items " << Eff.Stats.WorkItems
+              << ", pruned subtrees " << Eff.Stats.PrunedSubtrees
+              << ", slept branches " << Eff.Stats.SleptBranches << "\n"
               << "stats: solver queries "
               << Reg.counter("solver.queries").value()
               << ", propagate branches "
@@ -403,12 +340,12 @@ int main(int Argc, char **Argv) {
   } else if (StatsJson) {
     JsonValue Summary = obs::runSummary("jsmm-run");
     Summary.set("test", JsonValue(File->P.Name));
-    Summary.set("model", JsonValue(ModelName));
-    Summary.set("tier", JsonValue(Tier));
-    Summary.set("solver", JsonValue(SolverName));
+    Summary.set("model", JsonValue(Job.Model));
+    Summary.set("tier", JsonValue(Eff.Tier));
+    Summary.set("solver", JsonValue(Eff.Solver));
     JsonValue Cand = JsonValue::object();
-    Cand.set("considered", JsonValue(static_cast<uint64_t>(Considered)));
-    Cand.set("valid", JsonValue(static_cast<uint64_t>(Valid)));
+    Cand.set("considered", JsonValue(Eff.CandidatesConsidered));
+    Cand.set("valid", JsonValue(Eff.ValidCandidates));
     Summary.set("candidates", std::move(Cand));
     analysis::StaticValues SV = analysis::analyzeValues(File->P);
     JsonValue St = JsonValue::object();
@@ -416,9 +353,9 @@ int main(int Argc, char **Argv) {
     St.set("may_races",
            JsonValue(static_cast<uint64_t>(SV.C.MayRaces.size())));
     St.set("may_rf_excluded", JsonValue(SV.MayRfExcluded));
-    St.set("rf_pruned", JsonValue(Engine.Stats.StaticRfPruned));
-    St.set("paths_pruned", JsonValue(Engine.Stats.StaticPathsPruned));
-    St.set("fastpath", JsonValue(Cfg.StaticFastPath));
+    St.set("rf_pruned", JsonValue(Eff.Stats.StaticRfPruned));
+    St.set("paths_pruned", JsonValue(Eff.Stats.StaticPathsPruned));
+    St.set("fastpath", JsonValue(Job.Static));
     Summary.set("static", std::move(St));
     std::cout << Summary.toString() << "\n";
   }
