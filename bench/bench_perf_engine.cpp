@@ -302,6 +302,54 @@ void satHeadline(jsmm::bench::Table &T) {
   T.metric("sat_events_max", Events, "events");
 }
 
+/// A ring probe of \p N threads: each stores four distinct bytes to its own
+/// cell and loads its neighbour's, so all 5^N candidates are valid and
+/// every outcome is distinct — every candidate reaches the verdict query.
+Program ringProgram(unsigned N) {
+  Program P(N);
+  P.Name = "ring" + std::to_string(N);
+  for (unsigned T = 0; T < N; ++T) {
+    ThreadBuilder B = P.thread();
+    for (uint64_t V = 1; V <= 4; ++V)
+      B.store(Acc::u8(T), V);
+    B.load(Acc::u8((T + 1) % N));
+  }
+  return P;
+}
+
+/// Outcome-door headline: the ring-probe family (4, 5 and 6 threads)
+/// through the witness door (enumerate: a tot and a candidate copy per
+/// outcome) and the outcome door (enumerateOutcomes: existence-only
+/// verdicts, outcomes only), single-threaded, same run. Gated floor in
+/// bench/perf_baseline.json: `speedup_outcome_door_x`, which drops if
+/// witness extraction creeps back onto the outcome door.
+void outcomeDoorHeadline(jsmm::bench::Table &T) {
+  std::vector<Program> Family = {ringProgram(4), ringProgram(5),
+                                 ringProgram(6)};
+  JsModel M(ModelSpec::revised());
+  ExecutionEngine Engine;
+  std::vector<std::vector<std::string>> Witnessed, Outcomes;
+  auto WitnessDoor = [&] {
+    Witnessed.clear();
+    for (const Program &P : Family)
+      Witnessed.push_back(Engine.enumerate(P, M).outcomeStrings());
+  };
+  auto OutcomeDoor = [&] {
+    Outcomes.clear();
+    for (const Program &P : Family)
+      Outcomes.push_back(Engine.enumerateOutcomes(P, M).outcomeStrings());
+  };
+  OutcomeDoor(); // warm-up
+  double WitnessMs = timedMs(WitnessDoor);
+  double OutcomeMs = timedMs(OutcomeDoor);
+  T.check("witness and outcome doors agree on the ring-probe family", true,
+          Witnessed == Outcomes);
+  T.metric("ring_witness_door_ms", WitnessMs, "ms");
+  T.metric("ring_outcome_door_ms", OutcomeMs, "ms");
+  T.metric("speedup_outcome_door_x",
+           OutcomeMs > 0 ? WitnessMs / OutcomeMs : 0);
+}
+
 /// Batch-service headline: jobs/sec over the differential corpus (each job
 /// the full 9-backend verdict table), at one worker and at the requested
 /// worker count. The better figure is the `service_jobs_per_sec` metric
@@ -532,6 +580,7 @@ int headlineComparison() {
               " threads) beats seed",
           true, std::min(PrunedMs, ShardedMs) < SeedMs);
   smallPathHeadline(T);
+  outcomeDoorHeadline(T);
   porHeadline(T);
   solverHeadline(T);
   satHeadline(T);

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <set>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -259,7 +260,11 @@ template <typename L> struct Prepared {
 //   complete(B, Emit)            the completion of a justified candidate
 //                                (coherence orders where the language has
 //                                them), calling Emit per candidate;
-//   witness(M, X)                the verdict on a complete candidate;
+//   allows(M, X)                 the verdict on a complete candidate, as an
+//                                existence question: no witness is built;
+//   witness(M, X)                the same verdict with its witness (on
+//                                JavaScript a tot, on every language a copy
+//                                of the candidate), for the witness doors;
 //   pathFeasible / staticAllow / sleepKeys
 //                                the static tier and rf sleep-set hooks.
 
@@ -356,6 +361,10 @@ template <typename RelT> struct JsLang {
 
   template <typename EmitF> static bool complete(Base &, EmitF &&Emit) {
     return Emit();
+  }
+
+  static bool allows(const JsModel &M, const Exec &CE) {
+    return M.allows(CE);
   }
 
   static std::optional<Exec> witness(const JsModel &M, const Exec &CE) {
@@ -538,8 +547,9 @@ template <typename RelT> struct JsLang {
 };
 
 /// The mixed-size ARMv8 event language: rbf justifications plus granule
-/// coherence orders. It has no static tier or rf sleep keys yet, and no
-/// admission prune; the driver never asks for them on ARMv8 walks.
+/// coherence orders. It has no static tier or rf sleep keys yet, no
+/// admission prune and no outcome door (so no allows hook); the driver
+/// never asks for them on ARMv8 walks.
 struct ArmLang {
   using Prog = ArmProgram;
   using Model = Armv8Model;
@@ -818,8 +828,12 @@ template <typename RelT> struct TargetLang {
     return true;
   }
 
+  static bool allows(const TargetModel &M, const Exec &X) {
+    return M.allows(X);
+  }
+
   static std::optional<Exec> witness(const TargetModel &M, const Exec &X) {
-    if (!M.allows(X))
+    if (!allows(M, X))
       return std::nullopt;
     return X;
   }
@@ -995,6 +1009,50 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
+// Accumulators: what an enumeration keeps per allowed outcome
+//===----------------------------------------------------------------------===//
+//
+// The driver's enumerate() asks a Keep policy to judge a candidate whose
+// outcome is not yet in its result. A policy supplies the Result type (an
+// ordered Allowed container keyed by Outcome plus the two candidate
+// counters), the Valid counter, and admit(M, X, O, Into), which returns
+// whether \p X was allowed and, if so, records \p O in \p Into.
+
+/// The witness doors' accumulator: one witness execution per outcome.
+template <typename L> struct KeepWitness {
+  using Result = typename L::Result;
+  static constexpr uint64_t Result::*Valid = L::Valid;
+
+  static bool admit(const typename L::Model &M, const typename L::Exec &X,
+                    const Outcome &O, Result &Into) {
+    std::optional<typename L::Exec> Witness = L::witness(M, X);
+    if (!Witness)
+      return false;
+    Into.Allowed.emplace(O, std::move(*Witness));
+    return true;
+  }
+};
+
+/// The outcome doors' accumulator: the outcome alone, admitted on the
+/// existence-only L::allows, so no tot is built and no candidate copied.
+template <typename L> struct KeepOutcome {
+  struct Result {
+    std::set<Outcome> Allowed;
+    uint64_t CandidatesConsidered = 0;
+    uint64_t ValidCandidates = 0;
+  };
+  static constexpr uint64_t Result::*Valid = &Result::ValidCandidates;
+
+  static bool admit(const typename L::Model &M, const typename L::Exec &X,
+                    const Outcome &O, Result &Into) {
+    if (!L::allows(M, X))
+      return false;
+    Into.Allowed.insert(O);
+    return true;
+  }
+};
+
+//===----------------------------------------------------------------------===//
 // The driver: work items, sequential walks and sharded enumeration
 //===----------------------------------------------------------------------===//
 
@@ -1007,7 +1065,6 @@ private:
 template <typename L> class Driver {
   using Model = typename L::Model;
   using Exec = typename L::Exec;
-  using Result = typename L::Result;
 
 public:
   explicit Driver(const typename L::Prog &P, const Model *M = nullptr,
@@ -1060,22 +1117,21 @@ public:
     });
   }
 
-  /// Enumerates the outcomes the model allows, each with one witness, on
-  /// \p Threads workers. Sequential runs deduplicate outcomes globally.
-  /// Sharded runs split the combinations — and, within each, the first
-  /// read's writer choices — into work items with item-local results,
-  /// merged in item order for determinism; slept first-writer items simply
-  /// produce nothing, since the sleep rules are a function of the
-  /// justification stack alone.
-  Result enumerate(unsigned Threads, EngineStats &Stats) const {
+  /// Enumerates the outcomes the model allows on \p Threads workers,
+  /// keeping per outcome what \p Keep keeps (by default one witness). A
+  /// candidate is judged only when its outcome is not yet in the result:
+  /// sequential runs deduplicate outcomes globally. Sharded runs split the
+  /// combinations — and, within each, the first read's writer choices —
+  /// into work items with item-local results, merged in item order for
+  /// determinism; slept first-writer items simply produce nothing, since
+  /// the sleep rules are a function of the justification stack alone.
+  template <typename Keep = KeepWitness<L>>
+  typename Keep::Result enumerate(unsigned Threads, EngineStats &Stats) const {
+    using Result = typename Keep::Result;
     auto Accept = [this](Result &Into, const Exec &X, const Outcome &O) {
       ++Into.CandidatesConsidered;
-      if (Into.Allowed.count(O))
-        return true; // outcome already witnessed
-      if (std::optional<Exec> Witness = L::witness(*M, X)) {
-        ++(Into.*L::Valid);
-        Into.Allowed.emplace(O, std::move(*Witness));
-      }
+      if (!Into.Allowed.count(O) && Keep::admit(*M, X, O, Into))
+        ++(Into.*Keep::Valid);
       return true;
     };
     if (Threads <= 1) {
@@ -1121,12 +1177,13 @@ public:
     Result R;
     for (size_t I = 0; I < Items.size(); ++I) {
       R.CandidatesConsidered += PerItem[I].CandidatesConsidered;
-      R.*L::Valid += PerItem[I].*L::Valid;
+      R.*Keep::Valid += PerItem[I].*Keep::Valid;
       Stats.PrunedSubtrees += PerItemStats[I].PrunedSubtrees;
       Stats.SleptBranches += PerItemStats[I].SleptBranches;
       Stats.StaticRfPruned += PerItemStats[I].StaticRfPruned;
-      for (auto &[O, Witness] : PerItem[I].Allowed)
-        R.Allowed.emplace(O, std::move(Witness));
+      // Moves the nodes of outcomes not seen in earlier items; the
+      // earliest item's entry wins.
+      R.Allowed.merge(PerItem[I].Allowed);
     }
     return R;
   }
@@ -1247,14 +1304,24 @@ void recordEngineObs(const EngineStats &St, uint64_t CandidatesConsidered,
     R.counter("engine.tier." + Tier).add(1);
 }
 
+/// The outcome doors' walk on language \p L: the driver's one enumeration
+/// body with the outcome-only accumulator.
 template <typename L>
-OutcomeSummary summarize(const typename L::Result &R) {
+OutcomeSummary enumerateOutcomeSet(const typename L::Prog &P,
+                                   const typename L::Model &M, bool Prune,
+                                   const ThreadSymmetry *Sym,
+                                   const analysis::StaticValues *SV,
+                                   unsigned Threads, EngineStats &Stats) {
+  typename KeepOutcome<L>::Result R =
+      Driver<L>(P, &M, Prune, Sym, SV)
+          .template enumerate<KeepOutcome<L>>(Threads, Stats);
   OutcomeSummary S;
   S.CandidatesConsidered = R.CandidatesConsidered;
-  S.ValidCandidates = R.*L::Valid;
+  S.ValidCandidates = R.ValidCandidates;
   S.Allowed.reserve(R.Allowed.size());
-  for (const auto &Entry : R.Allowed)
-    S.Allowed.push_back(Entry.first);
+  while (!R.Allowed.empty())
+    S.Allowed.push_back(
+        std::move(R.Allowed.extract(R.Allowed.begin()).value()));
   return S;
 }
 
@@ -1318,12 +1385,10 @@ OutcomeSummary enumerateOutcomesOf(const ExecutionEngine &E, const ProgT &P,
   unsigned Threads = E.effectiveThreads();
   EngineStats Local;
   OutcomeSummary S =
-      SmallTier ? summarize<Lang<Relation>>(
-                      Driver<Lang<Relation>>(P, &M, Cfg.Prune, SymP, SVP)
-                          .enumerate(Threads, Local))
-                : summarize<Lang<DynRelation>>(
-                      Driver<Lang<DynRelation>>(P, &M, Cfg.Prune, SymP, SVP)
-                          .enumerate(Threads, Local));
+      SmallTier ? enumerateOutcomeSet<Lang<Relation>>(P, M, Cfg.Prune, SymP,
+                                                      SVP, Threads, Local)
+                : enumerateOutcomeSet<Lang<DynRelation>>(P, M, Cfg.Prune, SymP,
+                                                         SVP, Threads, Local);
   if (Sym && !Sym->empty())
     S.Allowed = closeOutcomes(std::move(S.Allowed), *Sym);
   E.Stats = Local;

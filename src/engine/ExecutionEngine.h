@@ -219,11 +219,13 @@ public:
   EnumerationResult enumerate(const Program &P, const JsModel &M) const;
 
   /// Outcome-level enumeration for either capacity tier: the allowed
-  /// outcome set (sorted), without witnesses. Identical outcomes and
-  /// counters to enumerate() on ≤64-event programs (it is the same
-  /// templated core, instantiated on Relation there and on DynRelation for
-  /// larger programs). Throws CapacityError only past
-  /// DynRelation::MaxSize events.
+  /// outcome set (sorted), without witnesses. The door only asks whether
+  /// some tot makes a candidate valid: it never builds a tot or copies a
+  /// candidate, and keeps nothing per outcome but the outcome. Identical
+  /// outcomes and counters to enumerate() on ≤64-event programs (the same
+  /// driver body with an outcome-only accumulator, instantiated on
+  /// Relation there and on DynRelation for larger programs). Throws
+  /// CapacityError only past DynRelation::MaxSize events.
   OutcomeSummary enumerateOutcomes(const Program &P, const JsModel &M) const;
 
   /// Checks the SC-DRF property of \p P under \p M (sequential, early

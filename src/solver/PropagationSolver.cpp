@@ -53,6 +53,7 @@ public:
       : P(P), Act(Act) {}
 
   bool run(RelT *TotOut) {
+    WantWitness = TotOut != nullptr;
     ClosedOrder<RelT> Order;
     if (!Order.init(P.Must, P.Universe))
       return false;
@@ -106,7 +107,8 @@ private:
       Active.resize(Keep);
     }
     if (Active.empty()) {
-      Witness = Order;
+      if (WantWitness) // existence-only queries never read it
+        Witness = Order;
       return true;
     }
     // Branch on the first genuinely unconstrained constraint: tots with
@@ -127,7 +129,8 @@ private:
 
   const BasicTotProblem<RelT> &P;
   SolverActivity *Act;
-  ClosedOrder<RelT> Witness;
+  bool WantWitness = false;
+  ClosedOrder<RelT> Witness; ///< the closed order, kept only on request
 };
 
 template <typename RelT>

@@ -158,18 +158,43 @@ TEST(Engine, DerivedRelationCacheIsCoherent) {
 //===----------------------------------------------------------------------===//
 
 TEST(Engine, OutcomeSummaryMatchesWitnessedEnumeration) {
-  for (const Program &P : paperPrograms())
-    for (ModelSpec Spec : allSpecs()) {
-      ExecutionEngine Engine;
-      EnumerationResult Witnessed = Engine.enumerate(P, JsModel(Spec));
-      OutcomeSummary Summary = Engine.enumerateOutcomes(P, JsModel(Spec));
-      EXPECT_EQ(Summary.outcomeStrings(), Witnessed.outcomeStrings())
-          << P.Name << " / " << Spec.Name;
-      EXPECT_EQ(Summary.CandidatesConsidered, Witnessed.CandidatesConsidered)
-          << P.Name << " / " << Spec.Name;
-      EXPECT_EQ(Summary.ValidCandidates, Witnessed.ValidCandidates)
-          << P.Name << " / " << Spec.Name;
-    }
+  // The outcome door keeps outcomes only and the witness door keeps one
+  // witness per outcome, but both run the same driver body: outcomes and
+  // counters must agree sequentially and sharded (item-local dedup, merged
+  // in item order). The ring probe has four threads, each storing four
+  // distinct bytes to its own cell and loading its neighbour's: 5^4
+  // candidates, all valid, every outcome distinct.
+  Program Ring(4);
+  Ring.Name = "ring4";
+  for (unsigned T = 0; T < 4; ++T) {
+    ThreadBuilder B = Ring.thread();
+    for (uint64_t V = 1; V <= 4; ++V)
+      B.store(Acc::u8(T), V);
+    B.load(Acc::u8((T + 1) % 4));
+  }
+  std::vector<Program> Programs = paperPrograms();
+  Programs.push_back(Ring);
+  for (unsigned Threads : {1u, 4u})
+    for (const Program &P : Programs)
+      for (ModelSpec Spec : allSpecs()) {
+        ExecutionEngine Engine(EngineConfig{Threads, true});
+        EnumerationResult Witnessed = Engine.enumerate(P, JsModel(Spec));
+        OutcomeSummary Summary = Engine.enumerateOutcomes(P, JsModel(Spec));
+        std::string Where = P.Name + " / " + Spec.Name + " / threads " +
+                            std::to_string(Threads);
+        EXPECT_EQ(Summary.outcomeStrings(), Witnessed.outcomeStrings())
+            << Where;
+        EXPECT_EQ(Summary.CandidatesConsidered,
+                  Witnessed.CandidatesConsidered)
+            << Where;
+        EXPECT_EQ(Summary.ValidCandidates, Witnessed.ValidCandidates)
+            << Where;
+        if (&P == &Programs.back()) {
+          EXPECT_EQ(Summary.Allowed.size(), 625u) << Where;
+          EXPECT_EQ(Summary.CandidatesConsidered, 625u) << Where;
+          EXPECT_EQ(Summary.ValidCandidates, 625u) << Where;
+        }
+      }
 }
 
 TEST(Engine, DynRelationTierAgreesOnSmallPrograms) {

@@ -272,14 +272,10 @@ std::string renderResult(size_t Index, const LitmusJobResult &R,
     St.set("may_races", JsonValue(static_cast<uint64_t>(R.StaticMayRaces)));
     St.set("lints", JsonValue(static_cast<uint64_t>(R.StaticLints)));
     St.set("fastpath", JsonValue(R.DrfFastPath));
-    // The pruning counts summed over a differential table's columns.
-    // Single-model records have always carried 0 here; reporting their
-    // real counts is a stream-format change of its own.
-    EngineStats Pruned;
-    if (R.Model == "differential")
-      Pruned = R.Effort.Stats;
-    St.set("rf_pruned", JsonValue(Pruned.StaticRfPruned));
-    St.set("paths_pruned", JsonValue(Pruned.StaticPathsPruned));
+    // The pruning counts of the job's engine call, summed over the
+    // columns of a differential table.
+    St.set("rf_pruned", JsonValue(R.Effort.Stats.StaticRfPruned));
+    St.set("paths_pruned", JsonValue(R.Effort.Stats.StaticPathsPruned));
     Obj.set("static", std::move(St));
   }
   if (WithSolver && R.HasSolverStats)

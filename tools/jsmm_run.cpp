@@ -37,6 +37,7 @@
 #include "analysis/StaticValues.h"
 #include "obs/Obs.h"
 #include "service/LitmusService.h"
+#include "solver/TotSolver.h"
 #include "support/CapacityError.h"
 #include "support/Str.h"
 #include "tools/LitmusParser.h"
@@ -258,7 +259,14 @@ int main(int Argc, char **Argv) {
     std::cerr << "jsmm-run: " << Path << ": " << R.Error << "\n";
     return 2;
   };
+  // The footer's solver line counts the primary verdict's queries only,
+  // not those of the --arm/--scdrf extras that run after it.
+  SolverActivitySink PrimarySolver;
+  SolverActivitySink *OuterSink = currentSolverActivitySink();
+  if (Stats)
+    setCurrentSolverActivitySink(&PrimarySolver);
   LitmusJobResult R = LitmusService::computeResult(Job, *File);
+  setCurrentSolverActivitySink(OuterSink);
   if (!R.ok())
     return Refused(R);
   int Failures = reportOutcomes(R);
@@ -302,7 +310,7 @@ int main(int Argc, char **Argv) {
 
   const EnumerationEffort &Eff = R.Effort;
   if (Stats && !StatsJson) {
-    obs::MetricsRegistry &Reg = obs::registry();
+    SolverActivity Solver = PrimarySolver.snapshot();
     // The static classification block prints whether or not the fast path
     // is enabled (--no-static disables the *use* of the analysis, not the
     // footer) — so a user can see why a program wasn't served statically.
@@ -327,16 +335,11 @@ int main(int Argc, char **Argv) {
               << "stats: work items " << Eff.Stats.WorkItems
               << ", pruned subtrees " << Eff.Stats.PrunedSubtrees
               << ", slept branches " << Eff.Stats.SleptBranches << "\n"
-              << "stats: solver queries "
-              << Reg.counter("solver.queries").value()
-              << ", propagate branches "
-              << Reg.counter("solver.propagate.branches").value()
-              << ", forced edges "
-              << Reg.counter("solver.propagate.forced_edges").value()
-              << ", sat decisions "
-              << Reg.counter("solver.sat.decisions").value()
-              << ", sat conflicts "
-              << Reg.counter("solver.sat.conflicts").value() << "\n";
+              << "stats: solver queries " << Solver.Queries
+              << ", propagate branches " << Solver.PropagateBranches
+              << ", forced edges " << Solver.PropagateForcedEdges
+              << ", sat decisions " << Solver.SatDecisions
+              << ", sat conflicts " << Solver.SatConflicts << "\n";
   } else if (StatsJson) {
     JsonValue Summary = obs::runSummary("jsmm-run");
     Summary.set("test", JsonValue(File->P.Name));
