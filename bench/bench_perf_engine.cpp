@@ -166,20 +166,28 @@ void solverHeadline(jsmm::bench::Table &T);
 
 /// An SB core padded with \p Fillers symmetric three-store writer threads
 /// on private cells: the scalable workload of the POR and SAT headlines
-/// (event bound 5 + 3*Fillers).
-Program wideSbProgram(unsigned Fillers, const char *Name) {
+/// (event bound 5 + 3*Fillers). With \p ScCore the core's accesses are
+/// SeqCst and the first filler's first store becomes a SeqCst store of 2
+/// to the core's cell 0, racing the core's store there.
+Program wideSbProgram(unsigned Fillers, const char *Name,
+                      bool ScCore = false) {
+  Mode Core = ScCore ? Mode::SeqCst : Mode::Unordered;
   UniProgram P(2 + 3 * Fillers);
   P.Name = Name;
   unsigned T0 = P.thread();
-  P.store(T0, 0, 1, Mode::Unordered);
-  P.load(T0, 1, Mode::Unordered);
+  P.store(T0, 0, 1, Core);
+  P.load(T0, 1, Core);
   unsigned T1 = P.thread();
-  P.store(T1, 1, 1, Mode::Unordered);
-  P.load(T1, 0, Mode::Unordered);
+  P.store(T1, 1, 1, Core);
+  P.load(T1, 0, Core);
   for (unsigned F = 0; F < Fillers; ++F) {
     unsigned T = P.thread();
-    for (unsigned L = 0; L < 3; ++L)
-      P.store(T, 2 + 3 * F + L, 1 + L, Mode::Unordered);
+    for (unsigned L = 0; L < 3; ++L) {
+      if (ScCore && F == 0 && L == 0)
+        P.store(T, 0, 2, Mode::SeqCst);
+      else
+        P.store(T, 2 + 3 * F + L, 1 + L, Mode::Unordered);
+    }
   }
   return mixedFromUni(P);
 }
@@ -190,7 +198,6 @@ Program wideSbProgram(unsigned Fillers, const char *Name) {
 /// collapse the byte-level justification blowup of the u32 reads, plus the
 /// 9-thread IRIW chain.
 std::vector<Program> porFamilyPrograms() {
-  auto WideSb = wideSbProgram;
   auto IriwChain = [] {
     Program P(64);
     P.Name = "iriw-chain-9t";
@@ -218,8 +225,8 @@ std::vector<Program> porFamilyPrograms() {
     return P;
   };
   std::vector<Program> Family;
-  Family.push_back(WideSb(10, "sb-wide-66"));
-  Family.push_back(WideSb(20, "sb-wide-126"));
+  Family.push_back(wideSbProgram(10, "sb-wide-66"));
+  Family.push_back(wideSbProgram(20, "sb-wide-126"));
   Family.push_back(IriwChain());
   return Family;
 }
@@ -272,15 +279,21 @@ void porHeadline(jsmm::bench::Table &T) {
                : 0);
 }
 
-/// SAT-tier headline: the 503-event wide-SB program (the regime the
-/// engine used to reject outright at the 256-event cap) enumerated with
-/// the CDCL tot solver against the propagation order-search on the same
-/// workload. Gated floors in bench/perf_baseline.json: `speedup_sat_x`
-/// (SAT wall clock relative to the order-search) and `sat_events_max`
-/// (the program size served — a capacity floor that trips if the SAT
-/// threshold or the dynamic relation cap ever shrinks back).
+/// SAT-tier headline: the 503-event wide-SB program with a SeqCst core
+/// (the regime the engine used to reject outright at the 256-event cap)
+/// enumerated with the CDCL tot solver against the propagation
+/// order-search on the same workload. The SeqCst core gives the final SC
+/// rule triples such as (Init, the other thread's store, the read), so
+/// candidates pose real tot problems: an all-Unordered program is
+/// constraint-free and never reaches a solver. The racing SeqCst filler
+/// store adds triples (core store, filler store, read) whose filler store
+/// hb leaves unordered, so the CDCL core must decide. Gated floors in
+/// bench/perf_baseline.json: `speedup_sat_x` (SAT wall clock relative to
+/// the order-search) and `sat_events_max` (the program size served — a
+/// capacity floor that trips if the SAT threshold or the dynamic relation
+/// cap ever shrinks back).
 void satHeadline(jsmm::bench::Table &T) {
-  Program Big = wideSbProgram(166, "sb-wide-503");
+  Program Big = wideSbProgram(166, "sb-wide-sc-503", /*ScCore=*/true);
   unsigned Events = programEventUpperBound(Big);
   EngineConfig Cfg;
   // Measure each tot solver explicitly rather than through the automatic
@@ -291,13 +304,21 @@ void satHeadline(jsmm::bench::Table &T) {
   JsModel Prop(ModelSpec::revised(), SolverConfig::propagate());
   OutcomeSummary SatR, PropR;
   Engine.enumerateOutcomes(Big, Sat); // warm-up
+  SolverActivitySink SatWork;
+  SolverActivitySink *Outer = setCurrentSolverActivitySink(&SatWork);
   double SatMs = timedMs([&] { SatR = Engine.enumerateOutcomes(Big, Sat); });
+  setCurrentSolverActivitySink(Outer);
   double PropMs =
       timedMs([&] { PropR = Engine.enumerateOutcomes(Big, Prop); });
+  SolverActivity SatAct = SatWork.snapshot();
   T.check("SAT and propagation tiers agree on the 503-event program", true,
           SatR.outcomeStrings() == PropR.outcomeStrings());
+  T.check("the SAT headline poses SAT queries that make decisions", true,
+          SatAct.Queries > 0 && SatAct.SatDecisions > 0);
   T.metric("sat_ms", SatMs, "ms");
   T.metric("sat_propagate_ms", PropMs, "ms");
+  T.metric("sat_queries", static_cast<double>(SatAct.Queries));
+  T.metric("sat_decisions", static_cast<double>(SatAct.SatDecisions));
   T.metric("speedup_sat_x", SatMs > 0 ? PropMs / SatMs : 0);
   T.metric("sat_events_max", Events, "events");
 }
@@ -320,15 +341,22 @@ Program ringProgram(unsigned N) {
 /// Outcome-door headline: the ring-probe family (4, 5 and 6 threads)
 /// through the witness door (enumerate: a tot and a candidate copy per
 /// outcome) and the outcome door (enumerateOutcomes: existence-only
-/// verdicts, outcomes only), single-threaded, same run. Gated floor in
-/// bench/perf_baseline.json: `speedup_outcome_door_x`, which drops if
-/// witness extraction creeps back onto the outcome door.
+/// verdicts, outcomes only), single-threaded, same run. Gated in
+/// bench/perf_baseline.json:
+///   - `speedup_outcome_door_x` (floor), which drops if witness extraction
+///     creeps back onto the outcome door;
+///   - `ring_solver_free_hits` (floor): candidates the outcome door judged
+///     minus the solver queries it posed. The family is all Unordered, so
+///     no candidate has an SC Atomics constraint and every one is decided
+///     without a solver (625 + 3125 + 15625); it trips if the skip is lost;
+///   - `ring_candidate_us` (ceiling): outcome-door wall time per candidate.
 void outcomeDoorHeadline(jsmm::bench::Table &T) {
   std::vector<Program> Family = {ringProgram(4), ringProgram(5),
                                  ringProgram(6)};
   JsModel M(ModelSpec::revised());
   ExecutionEngine Engine;
   std::vector<std::vector<std::string>> Witnessed, Outcomes;
+  uint64_t Candidates = 0;
   auto WitnessDoor = [&] {
     Witnessed.clear();
     for (const Program &P : Family)
@@ -336,18 +364,33 @@ void outcomeDoorHeadline(jsmm::bench::Table &T) {
   };
   auto OutcomeDoor = [&] {
     Outcomes.clear();
-    for (const Program &P : Family)
-      Outcomes.push_back(Engine.enumerateOutcomes(P, M).outcomeStrings());
+    Candidates = 0;
+    for (const Program &P : Family) {
+      OutcomeSummary S = Engine.enumerateOutcomes(P, M);
+      Candidates += S.CandidatesConsidered;
+      Outcomes.push_back(S.outcomeStrings());
+    }
   };
   OutcomeDoor(); // warm-up
   double WitnessMs = timedMs(WitnessDoor);
+  SolverActivitySink OutcomeWork;
+  SolverActivitySink *Outer = setCurrentSolverActivitySink(&OutcomeWork);
   double OutcomeMs = timedMs(OutcomeDoor);
+  setCurrentSolverActivitySink(Outer);
+  uint64_t Queries = OutcomeWork.snapshot().Queries;
   T.check("witness and outcome doors agree on the ring-probe family", true,
           Witnessed == Outcomes);
   T.metric("ring_witness_door_ms", WitnessMs, "ms");
   T.metric("ring_outcome_door_ms", OutcomeMs, "ms");
   T.metric("speedup_outcome_door_x",
            OutcomeMs > 0 ? WitnessMs / OutcomeMs : 0);
+  T.metric("ring_candidates", static_cast<double>(Candidates));
+  T.metric("ring_solver_free_hits",
+           static_cast<double>(Candidates - std::min(Candidates, Queries)));
+  T.metric("ring_candidate_us",
+           Candidates ? OutcomeMs * 1000.0 / static_cast<double>(Candidates)
+                      : 0,
+           "us");
 }
 
 /// Batch-service headline: jobs/sec over the differential corpus (each job

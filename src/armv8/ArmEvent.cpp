@@ -41,7 +41,7 @@ std::string ArmEvent::toString() const {
     Out += "init";
   Out += " b" + std::to_string(Block) + "[" + std::to_string(begin()) + ".." +
          std::to_string(end() - 1) + "]";
-  Out += (isWrite() ? "=" : " reads ") + std::to_string(valueOfBytes(Bytes));
+  Out += (isWrite() ? "=" : " reads ") + renderBytes(Bytes);
   return Out;
 }
 

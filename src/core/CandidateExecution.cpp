@@ -72,24 +72,33 @@ BasicCandidateExecution<RelT>::derived(SwDefKind Def) const {
   // rf/sw/hb depend on the rbf edges and the sb and asw relations only:
   // event kinds, modes and footprints are fixed at construction, and read
   // *values* do not enter the derived relations. The cached inputs are
-  // compared exactly — small vectors of words — so a stale triple can
+  // compared exactly — small vectors of words — so a stale relation can
   // never be returned.
+  if (!StaticHb.Valid || StaticHb.KeySb != Sb || StaticHb.KeyAsw != Asw) {
+    StaticHb.Closure = hbBase(Asw).transitiveClosure();
+    StaticHb.KeySb = Sb;
+    StaticHb.KeyAsw = Asw;
+    StaticHb.Valid = true;
+    for (DerivedCacheSlot &Slot : DerivedCache)
+      Slot.Valid = false;
+  }
   DerivedCacheSlot &Slot = DerivedCache[static_cast<unsigned>(Def)];
-  if (!Slot.Valid || Slot.KeyRbf != Rbf || Slot.KeySb != Sb ||
-      Slot.KeyAsw != Asw) {
+  if (!Slot.Valid || Slot.KeyRbf != Rbf) {
     Slot.D.Rf = readsFrom();
     Slot.D.Sw = synchronizesWith(Def, Slot.D.Rf);
-    Slot.D.Hb = happensBeforeFromSw(Slot.D.Sw);
+    // sw ⊇ asw, whose edges the static closure already holds; each other
+    // edge is one closed-order update.
+    Slot.D.Hb = StaticHb.Closure;
+    Slot.D.Sw.forEachPair(
+        [&](unsigned A, unsigned B) { Slot.D.Hb.addEdgeToClosure(A, B); });
     Slot.KeyRbf = Rbf;
-    Slot.KeySb = Sb;
-    Slot.KeyAsw = Asw;
     Slot.Valid = true;
   }
   return Slot.D;
 }
 
 template <typename RelT>
-RelT BasicCandidateExecution<RelT>::happensBeforeFromSw(const RelT &Sw) const {
+RelT BasicCandidateExecution<RelT>::hbBase(const RelT &Sw) const {
   RelT Base = Sb;
   Base.unionWith(Sw);
   for (const Event &A : Events) {
@@ -99,7 +108,12 @@ RelT BasicCandidateExecution<RelT>::happensBeforeFromSw(const RelT &Sw) const {
       if (A.Id != B.Id && overlap(A, B))
         Base.set(A.Id, B.Id);
   }
-  return Base.transitiveClosure();
+  return Base;
+}
+
+template <typename RelT>
+RelT BasicCandidateExecution<RelT>::happensBeforeFromSw(const RelT &Sw) const {
+  return hbBase(Sw).transitiveClosure();
 }
 
 template <typename RelT>

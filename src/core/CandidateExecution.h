@@ -121,18 +121,26 @@ public:
   /// overlap(A,B)})+.
   RelT happensBefore(SwDefKind Def) const;
 
-  /// hb computed from an already-derived sw (avoids recomputation in hot
-  /// loops).
+  /// hb closed from scratch over an already-derived sw: the reference the
+  /// incremental closure of derived() must equal.
   RelT happensBeforeFromSw(const RelT &Sw) const;
 
-  /// The memoized derived relations under \p Def. Recomputed only when sb,
-  /// asw or rbf changed since the last call (detected by an exact
-  /// comparison against the cached inputs — no hashing, so no collision
-  /// can ever return stale relations), so the repeated axiom checks the
-  /// engine performs on one justification share a single transitive
-  /// closure. The cache is per-object mutable state: concurrent calls on
-  /// the same object are not safe, so the engine gives every shard its
-  /// own execution.
+  /// The memoized derived relations under \p Def. The cache has two
+  /// layers, each keyed by an exact comparison against the inputs it was
+  /// built from (no hashing, so no collision can ever return stale
+  /// relations):
+  ///
+  ///   - hb's static part, (sb ∪ asw ∪ Init-overlap)+, shared by both sw
+  ///     definitions and re-closed only when sb or asw change — once per
+  ///     skeleton in the engine's walk, where only rbf moves;
+  ///   - per definition, rf, sw and hb, rebuilt when rbf changed: hb is the
+  ///     static closure plus each sw edge added by the single-edge closure
+  ///     update (Relation::addEdgeToClosure), which equals
+  ///     happensBeforeFromSw(sw), reflexive pairs of a cycle included.
+  ///
+  /// The cache is per-object mutable state: concurrent calls on the same
+  /// object are not safe, so the engine gives every shard its own
+  /// execution.
   const BasicDerivedTriple<RelT> &derived(SwDefKind Def) const;
 
   /// Checks the well-formedness conditions on candidate executions: sb is a
@@ -151,15 +159,25 @@ public:
   std::string toString() const;
 
 private:
-  struct DerivedCacheSlot {
+  /// \returns sb ∪ \p Sw ∪ {<A,B> | A.ord=Init ∧ A≠B ∧ overlap(A,B)}, the
+  /// relation hb closes (its static part when \p Sw is asw).
+  RelT hbBase(const RelT &Sw) const;
+
+  /// hb's sw-independent part and the sb/asw it was closed from.
+  struct StaticHbCache {
     bool Valid = false;
-    // The exact inputs the cached triple was derived from.
-    std::vector<RbfEdge> KeyRbf;
     RelT KeySb;
     RelT KeyAsw;
+    RelT Closure;
+  };
+  /// The rbf one SwDefKind's triple was derived from, and the triple.
+  struct DerivedCacheSlot {
+    bool Valid = false;
+    std::vector<RbfEdge> KeyRbf;
     BasicDerivedTriple<RelT> D;
   };
-  /// One slot per SwDefKind.
+  mutable StaticHbCache StaticHb;
+  /// One slot per SwDefKind; a static re-closure invalidates both.
   mutable DerivedCacheSlot DerivedCache[2];
 };
 

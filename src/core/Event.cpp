@@ -37,9 +37,9 @@ std::string Event::toString() const {
                     std::to_string(Block) + "[" + std::to_string(rangeBegin()) +
                     ".." + std::to_string(rangeEnd() - 1) + "]";
   if (isWrite())
-    Out += "=" + std::to_string(valueOfBytes(WriteBytes));
+    Out += "=" + renderBytes(WriteBytes);
   if (isRead())
-    Out += " reads " + std::to_string(valueOfBytes(ReadBytes));
+    Out += " reads " + renderBytes(ReadBytes);
   return Out;
 }
 

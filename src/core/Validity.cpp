@@ -198,8 +198,15 @@ bool jsmm::isValidForSomeTot(const BasicCandidateExecution<RelT> &CE,
   // is transitively closed, so irreflexivity is acyclicity.
   if (!D.Hb.isIrreflexive())
     return false;
-  BasicTotProblem<RelT> P = scAtomicsProblem(CE, D, Spec.Sc);
-  return Solver.existsExtension(P, TotOut);
+  std::vector<TotConstraint> Forbidden = scAtomicsConstraints(CE, D, Spec.Sc);
+  // Without a betweenness constraint the SC Atomics rule is vacuous and
+  // HBC1 only asks for tot ⊇ hb, which every linear extension of the
+  // closed, irreflexive hb satisfies. Only a requested witness needs the
+  // solver (its stable tie-break picks the order).
+  if (Forbidden.empty() && !TotOut)
+    return true;
+  return Solver.existsExtension(scAtomicsProblem(CE, D, std::move(Forbidden)),
+                                TotOut);
 }
 
 template <typename RelT>

@@ -133,8 +133,10 @@ bool isValid(const BasicCandidateExecution<RelT> &CE, ModelSpec Spec,
 /// Sound and complete: HBC1 requires tot ⊇ hb and the SC Atomics rule is
 /// a conjunction of betweenness constraints with tot-independent side
 /// conditions, so the question is handed to \p Solver as a TotProblem
-/// (solver/ScConstraints). The overload without a solver argument uses the
-/// process default (see defaultSolverKind()).
+/// (solver/ScConstraints). A problem without constraints is answered
+/// without a solver when no witness is requested: the closed, irreflexive
+/// hb always has a linear extension. The overload without a solver
+/// argument uses the process default (see defaultSolverKind()).
 template <typename RelT>
 bool isValidForSomeTot(const BasicCandidateExecution<RelT> &CE,
                        ModelSpec Spec, std::type_identity_t<RelT> *TotOut,

@@ -37,6 +37,9 @@ JsonValue obs::runSummary(const char *Tool) {
   O.set("tool", JsonValue(Tool));
   O.set("schema", JsonValue(1));
   MetricsRegistry &R = registry();
+  // The schema always carries solver.queries: a run whose candidates were
+  // all constraint-free judges them without a solver and reports 0.
+  R.counter("solver.queries");
   O.set("counters", R.countersJson());
   O.set("stats", R.statsJson());
   O.set("latency", R.latencyJson());

@@ -83,7 +83,8 @@ private:
 /// {"record": "run-summary", "tool": \p Tool, "schema": 1, "counters",
 /// "stats", "latency"} with the registry's current values. Callers append
 /// tool-specific members (job totals, cache hit rate, wall time) before
-/// serialising; the "counters" member is the deterministic section.
+/// serialising; the "counters" member is the deterministic section, and
+/// always carries `solver.queries` (0 when no problem reached a solver).
 JsonValue runSummary(const char *Tool);
 
 } // namespace jsmm::obs

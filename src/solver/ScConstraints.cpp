@@ -13,7 +13,7 @@ template <typename RelT>
 void attemptConstraints(const BasicCandidateExecution<RelT> &CE,
                         const BasicDerivedTriple<RelT> &D,
                         bool InterveningMustBeSeqCst,
-                        BasicTotProblem<RelT> &P) {
+                        std::vector<TotConstraint> &Forbidden) {
   D.Sw.forEachPair([&](unsigned W, unsigned R) {
     const Event &Er = CE.Events[R];
     for (const Event &Ec : CE.Events) {
@@ -23,7 +23,7 @@ void attemptConstraints(const BasicCandidateExecution<RelT> &CE,
       if (InterveningMustBeSeqCst && Ec.Ord != Mode::SeqCst)
         continue;
       if (sameWriteReadRange(Ec, Er))
-        P.Forbidden.push_back({W, C, R});
+        Forbidden.push_back({W, C, R});
     }
   });
 }
@@ -33,7 +33,7 @@ void attemptConstraints(const BasicCandidateExecution<RelT> &CE,
 template <typename RelT>
 void finalConstraints(const BasicCandidateExecution<RelT> &CE,
                       const BasicDerivedTriple<RelT> &D,
-                      BasicTotProblem<RelT> &P) {
+                      std::vector<TotConstraint> &Forbidden) {
   D.Rf.forEachPair([&](unsigned W, unsigned R) {
     if (!D.Hb.get(W, R))
       return;
@@ -49,7 +49,7 @@ void finalConstraints(const BasicCandidateExecution<RelT> &CE,
       bool D3 = sameWriteReadRange(Ec, Er) && D.Hb.get(W, C) &&
                 Er.Ord == Mode::SeqCst;
       if (D1 || D2 || D3)
-        P.Forbidden.push_back({W, C, R});
+        Forbidden.push_back({W, C, R});
     }
   });
 }
@@ -57,35 +57,60 @@ void finalConstraints(const BasicCandidateExecution<RelT> &CE,
 } // namespace
 
 template <typename RelT>
+std::vector<TotConstraint>
+jsmm::scAtomicsConstraints(const BasicCandidateExecution<RelT> &CE,
+                           const BasicDerivedTriple<RelT> &D,
+                           ScRuleKind Rule) {
+  std::vector<TotConstraint> Forbidden;
+  switch (Rule) {
+  case ScRuleKind::FirstAttempt:
+    attemptConstraints(CE, D, /*InterveningMustBeSeqCst=*/false, Forbidden);
+    break;
+  case ScRuleKind::SecondAttempt:
+    attemptConstraints(CE, D, /*InterveningMustBeSeqCst=*/true, Forbidden);
+    break;
+  case ScRuleKind::Final:
+    finalConstraints(CE, D, Forbidden);
+    break;
+  }
+  return Forbidden;
+}
+
+template <typename RelT>
 BasicTotProblem<RelT>
 jsmm::scAtomicsProblem(const BasicCandidateExecution<RelT> &CE,
-                       const BasicDerivedTriple<RelT> &D, ScRuleKind Rule) {
+                       const BasicDerivedTriple<RelT> &D,
+                       std::vector<TotConstraint> Forbidden) {
   BasicTotProblem<RelT> P;
   P.N = CE.numEvents();
   P.Universe = CE.allEventsMask();
   P.Must = D.Hb;
-  switch (Rule) {
-  case ScRuleKind::FirstAttempt:
-    attemptConstraints(CE, D, /*InterveningMustBeSeqCst=*/false, P);
-    break;
-  case ScRuleKind::SecondAttempt:
-    attemptConstraints(CE, D, /*InterveningMustBeSeqCst=*/true, P);
-    break;
-  case ScRuleKind::Final:
-    finalConstraints(CE, D, P);
-    break;
-  }
+  P.Forbidden = std::move(Forbidden);
   return P;
 }
 
-template jsmm::BasicTotProblem<jsmm::Relation>
-jsmm::scAtomicsProblem<jsmm::Relation>(
-    const BasicCandidateExecution<Relation> &, const DerivedTriple &,
-    ScRuleKind);
-template jsmm::BasicTotProblem<jsmm::DynRelation>
-jsmm::scAtomicsProblem<jsmm::DynRelation>(
-    const BasicCandidateExecution<DynRelation> &,
-    const BasicDerivedTriple<DynRelation> &, ScRuleKind);
+template <typename RelT>
+BasicTotProblem<RelT>
+jsmm::scAtomicsProblem(const BasicCandidateExecution<RelT> &CE,
+                       const BasicDerivedTriple<RelT> &D, ScRuleKind Rule) {
+  return scAtomicsProblem(CE, D, scAtomicsConstraints(CE, D, Rule));
+}
+
+#define JSMM_INSTANTIATE_SC_CONSTRAINTS(RelT)                                \
+  template std::vector<jsmm::TotConstraint>                                  \
+  jsmm::scAtomicsConstraints<RelT>(const BasicCandidateExecution<RelT> &,    \
+                                   const BasicDerivedTriple<RelT> &,         \
+                                   ScRuleKind);                              \
+  template jsmm::BasicTotProblem<RelT> jsmm::scAtomicsProblem<RelT>(         \
+      const BasicCandidateExecution<RelT> &,                                 \
+      const BasicDerivedTriple<RelT> &, std::vector<TotConstraint>);         \
+  template jsmm::BasicTotProblem<RelT> jsmm::scAtomicsProblem<RelT>(         \
+      const BasicCandidateExecution<RelT> &,                                 \
+      const BasicDerivedTriple<RelT> &, ScRuleKind);
+
+JSMM_INSTANTIATE_SC_CONSTRAINTS(jsmm::Relation)
+JSMM_INSTANTIATE_SC_CONSTRAINTS(jsmm::DynRelation)
+#undef JSMM_INSTANTIATE_SC_CONSTRAINTS
 
 void jsmm::addSyntacticDeadnessEdges(const CandidateExecution &CE,
                                      const Relation &Hb, TotProblem &P) {

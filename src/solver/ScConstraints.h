@@ -21,11 +21,23 @@
 
 namespace jsmm {
 
+/// The betweenness constraints the SC Atomics rule of \p Rule places on
+/// \p CE's tot: one per potential violation triple <writer, intervening,
+/// reader>. \p D must be CE's derived triple under the model's sw
+/// definition.
+template <typename RelT>
+std::vector<TotConstraint>
+scAtomicsConstraints(const BasicCandidateExecution<RelT> &CE,
+                     const BasicDerivedTriple<RelT> &D, ScRuleKind Rule);
+
 /// Builds the problem whose solutions are exactly the tots making \p CE
-/// satisfy HBC1 and the SC Atomics rule of \p Rule: Must = hb, one
-/// Forbidden constraint per potential violation triple <writer,
-/// intervening, reader>. \p D must be CE's derived triple under the
-/// model's sw definition.
+/// satisfy HBC1 and the SC Atomics rule: Must = hb, Forbidden = the rule's
+/// constraints (\p Forbidden as scAtomicsConstraints returned them, or
+/// computed here from \p Rule).
+template <typename RelT>
+BasicTotProblem<RelT> scAtomicsProblem(const BasicCandidateExecution<RelT> &CE,
+                                       const BasicDerivedTriple<RelT> &D,
+                                       std::vector<TotConstraint> Forbidden);
 template <typename RelT>
 BasicTotProblem<RelT> scAtomicsProblem(const BasicCandidateExecution<RelT> &CE,
                                        const BasicDerivedTriple<RelT> &D,

@@ -94,6 +94,19 @@ DynRelation DynRelation::transitiveClosure() const {
   return Closure;
 }
 
+void DynRelation::addEdgeToClosure(unsigned A, unsigned B) {
+  if (get(A, B))
+    return;
+  DynSet Before = column(A);
+  bits::set(Before, A);
+  DynSet After = row(B);
+  bits::set(After, B);
+  bits::forEach(Before, [&](unsigned X) {
+    for (unsigned J = 0; J < WPR; ++J)
+      Rows[size_t(X) * WPR + J] |= After.word(J);
+  });
+}
+
 DynRelation DynRelation::reflexiveTransitiveClosure() const {
   DynRelation Closure = transitiveClosure();
   for (unsigned A = 0; A < N; ++A)

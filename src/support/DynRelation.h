@@ -214,6 +214,7 @@ public:
   DynRelation inverse() const;
   DynRelation compose(const DynRelation &Other) const;
   DynRelation transitiveClosure() const;
+  void addEdgeToClosure(unsigned A, unsigned B);
   DynRelation reflexiveTransitiveClosure() const;
 
   bool isIrreflexive() const;

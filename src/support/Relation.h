@@ -264,6 +264,25 @@ public:
     return Closure;
   }
 
+  /// Adds <A,B> to this transitively closed relation and keeps it closed:
+  /// everything reaching A (and A) now reaches everything B reaches (and
+  /// B). An edge closing a cycle is accepted, and the result gains the
+  /// reflexive pairs transitiveClosure() would give the cycle's elements,
+  /// so the update equals re-closing from scratch.
+  void addEdgeToClosure(unsigned A, unsigned B) {
+    if (get(A, B))
+      return; // already implied
+    SetT Before = column(A);
+    bits::set(Before, A);
+    SetT After = row(B);
+    bits::set(After, B);
+    const uint64_t *AWs = setWords(After);
+    bits::forEach(Before, [&](unsigned X) {
+      for (unsigned K = 0; K < W; ++K)
+        Rows[size_t(X) * W + K] |= AWs[K];
+    });
+  }
+
   /// \returns the reflexive transitive closure (this)*.
   BasicRelation reflexiveTransitiveClosure() const {
     BasicRelation Closure = transitiveClosure();

@@ -2,6 +2,7 @@
 
 #include "support/Str.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <fstream>
@@ -54,6 +55,18 @@ std::string jsmm::hexByte(uint8_t Byte) {
   Out += Digits[Byte >> 4];
   Out += Digits[Byte & 0xf];
   return Out;
+}
+
+std::string jsmm::renderBytes(const std::vector<uint8_t> &Bytes) {
+  if (Bytes.size() <= 8)
+    return std::to_string(valueOfBytes(Bytes));
+  if (std::all_of(Bytes.begin(), Bytes.end(),
+                  [](uint8_t B) { return B == 0; }))
+    return "0";
+  std::string Out = "[";
+  for (size_t I = 0; I < Bytes.size(); ++I)
+    Out += (I ? " " : "") + hexByte(Bytes[I]);
+  return Out + "]";
 }
 
 std::optional<uint64_t> jsmm::parseUnsigned64(const std::string &S) {

@@ -35,6 +35,11 @@ uint64_t valueOfBytes(const std::vector<uint8_t> &Bytes);
 /// \returns "0xNN" hex rendering of a value.
 std::string hexByte(uint8_t Byte);
 
+/// \returns \p Bytes rendered for a human: the little-endian value when it
+/// fits a word (at most 8 bytes); otherwise (an Init write covering a
+/// whole buffer) "0" when every byte is zero, else the bytes in hex.
+std::string renderBytes(const std::vector<uint8_t> &Bytes);
+
 /// Strict decimal parse of \p S into an unsigned. \returns std::nullopt on
 /// an empty string, any non-digit character (including signs, whitespace
 /// and an 0x prefix), or a value that does not fit — the CLI flag parsers

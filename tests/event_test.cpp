@@ -154,3 +154,13 @@ TEST(Str, PaddingHelpers) {
   EXPECT_EQ(padRight("abcde", 4), "abcde");
   EXPECT_EQ(joinStrings({"a", "b", "c"}, ", "), "a, b, c");
 }
+
+TEST(Event, ToStringRendersBufferWideInit) {
+  // An Init write covers its whole buffer, wider than a value word.
+  EXPECT_NE(makeInit(0, 16).toString().find("[0..15]=0"), std::string::npos);
+  std::vector<uint8_t> Bytes(16, 0);
+  Bytes[9] = 5;
+  std::string S = makeInit(0, Bytes).toString();
+  EXPECT_NE(S.find("0x05"), std::string::npos) << S;
+  EXPECT_EQ(renderBytes({1, 2}), "513");
+}

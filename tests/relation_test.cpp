@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <stdexcept>
 
 using namespace jsmm;
@@ -425,4 +426,41 @@ TEST(DynRelation, StrictTotalOrderOnSubsets) {
   EXPECT_TRUE(R.isStrictTotalOrderOn(Universe));
   bits::set(Universe, 5); // unordered element joins the universe
   EXPECT_FALSE(R.isStrictTotalOrderOn(Universe));
+}
+
+namespace {
+
+/// Adds random edges one at a time through addEdgeToClosure and compares
+/// each step with re-closing the accumulated edges from scratch: sparse
+/// acyclic prefixes first, then edges that close cycles (whose elements
+/// must turn reflexive exactly as under transitiveClosure()).
+template <typename RelT> void checkIncrementalClosure(unsigned N) {
+  std::mt19937 Rng(N);
+  std::uniform_int_distribution<unsigned> Pick(0, N - 1);
+  for (unsigned Round = 0; Round < 20; ++Round) {
+    RelT Edges(N);
+    RelT Closed(N);
+    for (unsigned Step = 0; Step < 2 * N; ++Step) {
+      unsigned A = Pick(Rng), B = Pick(Rng);
+      if (Step < N && A > B)
+        std::swap(A, B); // forward edges first: an acyclic prefix
+      Edges.set(A, B);
+      Closed.addEdgeToClosure(A, B);
+      ASSERT_TRUE(Closed == Edges.transitiveClosure())
+          << "N=" << N << " round " << Round << " step " << Step;
+    }
+  }
+}
+
+} // namespace
+
+TEST(Relation, AddEdgeToClosureMatchesReclosing) {
+  checkIncrementalClosure<Relation>(9);
+  checkIncrementalClosure<Relation>(64);
+  checkIncrementalClosure<BasicRelation<2>>(100);
+}
+
+TEST(DynRelation, AddEdgeToClosureMatchesReclosing) {
+  checkIncrementalClosure<DynRelation>(9);
+  checkIncrementalClosure<DynRelation>(130);
 }

@@ -1,6 +1,10 @@
 //===- tests/validity_test.cpp - Validity axioms across model variants ----===//
 
 #include "core/Validity.h"
+#include "engine/ExecutionEngine.h"
+#include "engine/MemoryModel.h"
+#include "targets/Differential.h"
+#include "targets/UniProgram.h"
 
 #include "TestUtil.h"
 
@@ -277,4 +281,60 @@ TEST(Validity, Fig8ValidInOriginalInvalidInRevised) {
   // and rejected by the revised one.
   EXPECT_TRUE(isValidForSomeTot(fig8Execution(), ModelSpec::original()));
   EXPECT_FALSE(isValidForSomeTot(fig8Execution(), ModelSpec::revised()));
+}
+
+TEST(Validity, ExistenceVerdictEqualsWitnessVerdictOnCorpus) {
+  // The existence-only question skips the solver when the SC Atomics rule
+  // poses no constraint; asking for a witness always reaches the solver.
+  // Both must agree on every candidate of the differential corpus, under
+  // every solver, and every witness must be a valid tot.
+  unsigned Candidates = 0, Valid = 0;
+  for (const DiffCase &C : differentialCorpus()) {
+    ExecutionEngine().forEachCandidate(
+        mixedFromUni(C.Uni),
+        [&](const CandidateExecution &CE, const Outcome &) {
+          ++Candidates;
+          for (ModelSpec Spec : {ModelSpec::original(), ModelSpec::revised()})
+            for (SolverKind K : allSolverKinds()) {
+              const TotSolver &S = totSolver(K);
+              Relation Tot;
+              bool Exists = isValidForSomeTot(CE, Spec, nullptr, S);
+              bool Witnessed = isValidForSomeTot(CE, Spec, &Tot, S);
+              EXPECT_EQ(Exists, Witnessed)
+                  << C.Name << " under " << Spec.Name << "/" << S.name()
+                  << ":\n"
+                  << CE.toString();
+              if (!Witnessed)
+                continue;
+              ++Valid;
+              CandidateExecution WithTot = CE;
+              WithTot.Tot = Tot;
+              EXPECT_TRUE(isValid(WithTot, Spec)) << C.Name;
+            }
+          return !::testing::Test::HasFailure();
+        });
+  }
+  EXPECT_GT(Candidates, 100u);
+  EXPECT_GT(Valid, 0u);
+}
+
+TEST(Validity, RingProbeOutcomeDoorPosesNoSolverQuery) {
+  // Four threads, each storing four distinct bytes to its own cell and
+  // loading its neighbour's: every access is Unordered, so no candidate
+  // has an SC Atomics constraint and the outcome door never needs a tot.
+  Program P(4);
+  for (unsigned T = 0; T < 4; ++T) {
+    ThreadBuilder B = P.thread();
+    for (uint64_t V = 1; V <= 4; ++V)
+      B.store(Acc::u8(T), V);
+    B.load(Acc::u8((T + 1) % 4));
+  }
+  SolverActivitySink Sink;
+  SolverActivitySink *Outer = setCurrentSolverActivitySink(&Sink);
+  OutcomeSummary S = ExecutionEngine(EngineConfig{1, true})
+                         .enumerateOutcomes(P, JsModel(ModelSpec::revised()));
+  setCurrentSolverActivitySink(Outer);
+  EXPECT_EQ(S.ValidCandidates, 625u);
+  EXPECT_EQ(S.Allowed.size(), 625u);
+  EXPECT_EQ(Sink.snapshot().Queries, 0u);
 }

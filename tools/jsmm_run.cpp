@@ -269,6 +269,11 @@ int main(int Argc, char **Argv) {
   setCurrentSolverActivitySink(OuterSink);
   if (!R.ok())
     return Refused(R);
+  // Likewise the JSON summary: the registry is read before the extras add
+  // to its process-wide counters.
+  JsonValue Summary;
+  if (StatsJson)
+    Summary = obs::runSummary("jsmm-run");
   int Failures = reportOutcomes(R);
 
   if (WithArm) {
@@ -341,7 +346,6 @@ int main(int Argc, char **Argv) {
               << ", sat decisions " << Solver.SatDecisions
               << ", sat conflicts " << Solver.SatConflicts << "\n";
   } else if (StatsJson) {
-    JsonValue Summary = obs::runSummary("jsmm-run");
     Summary.set("test", JsonValue(File->P.Name));
     Summary.set("model", JsonValue(Job.Model));
     Summary.set("tier", JsonValue(Eff.Tier));
